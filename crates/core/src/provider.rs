@@ -318,11 +318,12 @@ mod tests {
     #[test]
     fn upgrade_requires_headroom_for_materialized_size_not_just_budget() {
         use incognito_data::{adults, AdultsConfig};
-        // A wide ground spec keeps the group count near the row count, so
-        // the same-level rollup below produces a child whose estimated
-        // in-memory footprint (megabytes) dwarfs the headroom granted.
+        // A ground spec over every attribute keeps the group count near the
+        // row count, so the same-level rollup below produces a child whose
+        // estimated in-memory footprint (a code map of ~20,000 groups, about
+        // 0.5 MB) dwarfs the headroom granted.
         let t = adults(&AdultsConfig { rows: 20_000, seed: 13 });
-        let spec = GroupSpec::ground(&[0, 1, 2, 3]).unwrap();
+        let spec = GroupSpec::ground(&(0..t.schema().arity()).collect::<Vec<_>>()).unwrap();
         let ext = ExternalFrequencySet::build(&t, &spec, 8, &std::env::temp_dir()).unwrap();
         let parent = FreqHandle::Ext(ext);
         // Live bytes sit under this budget (the pre-fix point-in-time
@@ -332,7 +333,7 @@ mod tests {
         let cfg = Config::new(2).with_memory_budget(budget);
         let p = FreqProvider::new(&t, &cfg);
         assert!(!p.over_budget(), "precondition: the sample alone says 'under budget'");
-        let child = p.rollup(&parent, t.schema(), &[0, 0, 0, 0]).unwrap();
+        let child = p.rollup(&parent, t.schema(), &vec![0; spec.len()]).unwrap();
         assert!(
             child.is_spilled(),
             "a child too big for the remaining headroom must stay on disk"

@@ -31,8 +31,10 @@ use std::sync::OnceLock;
 
 use incognito_hierarchy::{LevelNo, ValueId};
 
-use crate::freq::{GroupKey, GroupSpec};
-use crate::fxhash::{FxBuildHasher, FxHashMap};
+use crate::freq::{
+    project_digits, rollup_digits, settled_bytes_bound, Counts, GroupKey, GroupSpec, KeySpace,
+};
+use crate::fxhash::FxBuildHasher;
 use crate::schema::Schema;
 use crate::table::Table;
 use crate::{FrequencySet, TableError};
@@ -168,24 +170,45 @@ impl<'p> PartitionWriters<'p> {
     }
 }
 
-/// Serialize one `(key, count)` record into `buf`.
-fn push_record(buf: &mut Vec<u8>, key: &GroupKey, count: u64) {
+/// Serialize the group with `digits` over `space` and its `count` as one
+/// record into `buf`, and return the partition (of `num_partitions`) the
+/// record belongs to.
+fn encode_record(
+    buf: &mut Vec<u8>,
+    space: &KeySpace,
+    digits: &[ValueId],
+    count: u64,
+    num_partitions: usize,
+) -> usize {
+    use std::hash::BuildHasher;
     buf.clear();
-    for &v in key.as_slice() {
-        buf.extend_from_slice(&v.to_le_bytes());
-    }
+    let hash = if space.is_packable() {
+        let code = space.pack(digits);
+        buf.extend_from_slice(&code.to_le_bytes());
+        FxBuildHasher::default().hash_one(code)
+    } else {
+        for &v in digits {
+            buf.extend_from_slice(&v.to_le_bytes());
+        }
+        FxBuildHasher::default().hash_one(GroupKey::from_slice(digits))
+    };
     buf.extend_from_slice(&count.to_le_bytes());
+    // Range-reduce with the hash's high bits: a lone Fx multiply leaves
+    // the low bits of a code's hash a function of the code's low bits.
+    ((hash as u128 * num_partitions as u128) >> 64) as usize
 }
 
 /// A frequency set whose groups live in disk partitions.
 ///
-/// Each partition file is a sequence of fixed-width records: `arity`
-/// little-endian `u32` key components followed by a little-endian `u64`
-/// count. A record's partition is its key's hash modulo the partition
-/// count, so all records for one group land in the same partition and
+/// Each partition file is a sequence of fixed-width records: the group's
+/// little-endian `u64` code in the spec's key space — or, for a space too
+/// wide to pack, its `arity` little-endian `u32` key components — followed
+/// by a little-endian `u64` count. A record's partition is chosen by its
+/// key's hash, so all records for one group land in the same partition and
 /// streaming queries can aggregate one partition at a time.
 pub struct ExternalFrequencySet {
     spec: GroupSpec,
+    space: KeySpace,
     partitions: Vec<PathBuf>,
     /// Exact byte length written to each partition at build time. Any
     /// later mismatch — including truncation at a record boundary, which
@@ -194,7 +217,6 @@ pub struct ExternalFrequencySet {
     /// Once a partition's on-disk length has been validated against
     /// `expected`, the check is not repeated (no re-`stat` per query).
     checked: Vec<OnceLock<()>>,
-    arity: usize,
     total: u64,
     /// Owned spill directory, removed on drop.
     dir: PathBuf,
@@ -224,22 +246,19 @@ impl ExternalFrequencySet {
             .map(|&(a, l)| schema.hierarchy(a).map_to_level(l))
             .collect();
         let cols: Vec<&[ValueId]> = spec.parts().iter().map(|&(a, _)| table.column(a)).collect();
-        let arity = spec.len();
+        let space = KeySpace::for_spec(schema, spec);
 
         let partitions: Vec<PathBuf> =
             (0..num_partitions).map(|p| dir.join(format!("part-{p}.bin"))).collect();
         let write_all = || -> Result<Vec<u64>, ExternalError> {
-            use std::hash::BuildHasher;
-            let hasher = FxBuildHasher::default();
             let mut writers = PartitionWriters::new(&partitions);
-            let mut buf = Vec::with_capacity(arity * 4 + 8);
+            let mut buf = Vec::new();
+            let mut digits = vec![0 as ValueId; spec.len()];
             for row in 0..table.num_rows() {
-                let mut key = GroupKey::default();
-                for (col, map) in cols.iter().zip(&maps) {
-                    key.push(map[col[row] as usize]);
+                for ((d, col), map) in digits.iter_mut().zip(&cols).zip(&maps) {
+                    *d = map[col[row] as usize];
                 }
-                let part = (hasher.hash_one(key) % num_partitions as u64) as usize;
-                push_record(&mut buf, &key, 1);
+                let part = encode_record(&mut buf, &space, &digits, 1, num_partitions);
                 writers.write(part, &buf)?;
             }
             writers.finish()
@@ -257,10 +276,10 @@ impl ExternalFrequencySet {
         span.set_arg("bytes", bytes);
         Ok(ExternalFrequencySet {
             spec: spec.clone(),
+            space,
             checked: (0..num_partitions).map(|_| OnceLock::new()).collect(),
             partitions,
             expected,
-            arity,
             total: table.num_rows() as u64,
             dir,
         })
@@ -286,24 +305,25 @@ impl ExternalFrequencySet {
         self.expected.iter().sum()
     }
 
-    /// Bytes per `(key, count)` record.
+    /// Bytes per `(key, count)` record: a `u64` code, or one `u32` per key
+    /// component when the space is too wide to pack, plus the `u64` count.
     fn record_len(&self) -> usize {
-        self.arity * 4 + 8
+        let key = if self.space.is_packable() { 8 } else { self.space.arity() * 4 };
+        key + 8
     }
 
     /// Upper-bound estimate of the heap bytes
     /// [`ExternalFrequencySet::into_frequency_set`] would occupy. The
     /// spilled record count bounds the distinct group count from above (a
     /// built set holds one record per row; a derived set at most one
-    /// record per group per parent partition), each group costs one
-    /// hash-map slot in memory, and the factor of two covers the map's
-    /// growth slack (capacity can reach ~2× the entry count after a
-    /// doubling). Budget admission checks compare this against headroom
-    /// *before* materializing, so the estimate deliberately errs high.
+    /// record per group per parent partition), and a set of that many
+    /// groups holds at most a map trimmed to its grown capacity — the
+    /// dense form is only kept when smaller. Budget admission checks
+    /// compare this against headroom *before* materializing, so the
+    /// estimate deliberately errs high.
     pub fn estimated_resident_bytes(&self) -> u64 {
         let records = self.spilled_bytes() / self.record_len() as u64;
-        let slot = std::mem::size_of::<(GroupKey, u64)>() as u64 + 1;
-        records.saturating_mul(slot).saturating_mul(2)
+        settled_bytes_bound(&self.space, records)
     }
 
     /// Check the partition file's length against the exact byte count the
@@ -325,13 +345,13 @@ impl ExternalFrequencySet {
 
     /// Aggregate one partition into an in-memory map (the memory high-water
     /// mark of every streaming query).
-    fn aggregate_partition(&self, idx: usize) -> Result<FxHashMap<GroupKey, u64>, ExternalError> {
+    fn aggregate_partition(&self, idx: usize) -> Result<Counts, ExternalError> {
         self.validate_partition(idx)?;
         let path = &self.partitions[idx];
         let record = self.record_len();
         let n_records = (self.expected[idx] / record as u64) as usize;
         let mut reader = BufReader::new(File::open(path)?);
-        let mut counts: FxHashMap<GroupKey, u64> = FxHashMap::default();
+        let mut counts = Counts::map_for(&self.space);
         let mut buf = vec![0u8; record];
         for _ in 0..n_records {
             reader.read_exact(&mut buf).map_err(|e| {
@@ -342,48 +362,53 @@ impl ExternalFrequencySet {
                     ExternalError::Io(e)
                 }
             })?;
-            let (key_bytes, count_bytes) = buf.split_at(self.arity * 4);
-            let mut key = GroupKey::default();
-            for c in key_bytes.chunks_exact(4) {
-                key.push(u32::from_le_bytes(c.try_into().expect("4-byte chunk")));
+            let (key, count) = buf.split_at(record - 8);
+            let count = u64::from_le_bytes(count.try_into().expect("8-byte count"));
+            match &mut counts {
+                Counts::Codes(m) => {
+                    let code = u64::from_le_bytes(key.try_into().expect("8-byte code"));
+                    *m.entry(code).or_insert(0) += count;
+                }
+                Counts::Keys(m) => {
+                    let mut k = GroupKey::default();
+                    for c in key.chunks_exact(4) {
+                        k.push(u32::from_le_bytes(c.try_into().expect("4-byte chunk")));
+                    }
+                    *m.entry(k).or_insert(0) += count;
+                }
+                Counts::Dense(_) => unreachable!("partitions aggregate into maps"),
             }
-            let count = u64::from_le_bytes(count_bytes.try_into().expect("8-byte count"));
-            *counts.entry(key).or_insert(0) += count;
         }
         Ok(counts)
     }
 
-    /// Fold every partition's aggregated counts through `f`, streaming.
-    fn fold_groups<T>(
+    /// Fold every partition's aggregated group counts through `f`,
+    /// streaming.
+    fn fold_counts<T>(
         &self,
         mut acc: T,
-        mut f: impl FnMut(T, &GroupKey, u64) -> T,
+        mut f: impl FnMut(T, u64) -> T,
     ) -> Result<T, ExternalError> {
         for idx in 0..self.partitions.len() {
-            let counts = self.aggregate_partition(idx)?;
-            for (k, c) in &counts {
-                acc = f(acc, k, *c);
-            }
+            acc = self.aggregate_partition(idx)?.values().fold(acc, &mut f);
         }
         Ok(acc)
     }
 
     /// Number of distinct groups (streamed).
     pub fn num_groups(&self) -> Result<usize, ExternalError> {
-        self.fold_groups(0usize, |acc, _, _| acc + 1)
+        self.fold_counts(0usize, |acc, _| acc + 1)
     }
 
     /// Smallest group count (streamed); `None` for an empty table.
     pub fn min_count(&self) -> Result<Option<u64>, ExternalError> {
-        self.fold_groups(None, |acc: Option<u64>, _, c| {
-            Some(acc.map_or(c, |m| m.min(c)))
-        })
+        self.fold_counts(None, |acc: Option<u64>, c| Some(acc.map_or(c, |m| m.min(c))))
     }
 
     /// K-Anonymity Property, streamed partition by partition.
     pub fn is_k_anonymous(&self, k: u64) -> Result<bool, ExternalError> {
         for idx in 0..self.partitions.len() {
-            if self.aggregate_partition(idx)?.values().any(|&c| c < k) {
+            if self.aggregate_partition(idx)?.values().any(|c| c < k) {
                 return Ok(false);
             }
         }
@@ -392,7 +417,7 @@ impl ExternalFrequencySet {
 
     /// Tuples in groups smaller than k (the §2.1 suppression tally).
     pub fn tuples_below(&self, k: u64) -> Result<u64, ExternalError> {
-        self.fold_groups(0u64, |acc, _, c| if c < k { acc + c } else { acc })
+        self.fold_counts(0u64, |acc, c| if c < k { acc + c } else { acc })
     }
 
     /// K-anonymity modulo suppression: at most `max_suppress` tuples sit
@@ -415,25 +440,28 @@ impl ExternalFrequencySet {
     fn derive(
         &self,
         spec: GroupSpec,
+        space: KeySpace,
         spill_root: &Path,
-        mut map_key: impl FnMut(&GroupKey) -> GroupKey,
+        remap: impl Fn(&[ValueId], &mut [ValueId]),
     ) -> Result<ExternalFrequencySet, ExternalError> {
-        use std::hash::BuildHasher;
         let num_partitions = self.partitions.len();
         let dir = fresh_spill_dir(spill_root)?;
         let partitions: Vec<PathBuf> =
             (0..num_partitions).map(|p| dir.join(format!("part-{p}.bin"))).collect();
-        let mut write_all = || -> Result<Vec<u64>, ExternalError> {
-            let hasher = FxBuildHasher::default();
+        let write_all = || -> Result<Vec<u64>, ExternalError> {
             let mut writers = PartitionWriters::new(&partitions);
-            let mut buf = Vec::with_capacity(spec.len() * 4 + 8);
+            let mut buf = Vec::new();
+            let mut child = vec![0 as ValueId; space.arity()];
             for idx in 0..num_partitions {
-                for (key, count) in self.aggregate_partition(idx)? {
-                    let child = map_key(&key);
-                    let part = (hasher.hash_one(child) % num_partitions as u64) as usize;
-                    push_record(&mut buf, &child, count);
-                    writers.write(part, &buf)?;
-                }
+                let mut written = Ok(());
+                self.aggregate_partition(idx)?.for_each_group(&self.space, |digits, count| {
+                    if written.is_ok() {
+                        remap(digits, &mut child);
+                        let part = encode_record(&mut buf, &space, &child, count, num_partitions);
+                        written = writers.write(part, &buf);
+                    }
+                });
+                written?;
             }
             writers.finish()
         };
@@ -446,13 +474,12 @@ impl ExternalFrequencySet {
         };
         let bytes: u64 = expected.iter().sum();
         record_spill(num_partitions, bytes);
-        let arity = spec.len();
         Ok(ExternalFrequencySet {
             spec,
+            space,
             checked: (0..num_partitions).map(|_| OnceLock::new()).collect(),
             partitions,
             expected,
-            arity,
             total: self.total,
             dir,
         })
@@ -469,93 +496,45 @@ impl ExternalFrequencySet {
         target: &[LevelNo],
         spill_root: &Path,
     ) -> Result<ExternalFrequencySet, ExternalError> {
-        if target.len() != self.spec.len() {
-            return Err(TableError::IncompatibleSpec(format!(
-                "rollup target has {} levels for {} grouped attributes",
-                target.len(),
-                self.spec.len()
-            ))
-            .into());
-        }
-        let mut maps: Vec<&[ValueId]> = Vec::with_capacity(target.len());
-        let mut parts = Vec::with_capacity(target.len());
-        for (&(a, from), &to) in self.spec.parts().iter().zip(target) {
-            let h = schema.hierarchy(a);
-            if to < from {
-                return Err(TableError::IncompatibleSpec(format!(
-                    "cannot roll attribute {a} down from level {from} to {to}"
-                ))
-                .into());
-            }
-            let m = h.between_map(from, to).map_err(|_| TableError::LevelOutOfRange {
-                attribute: schema.attribute(a).name().to_string(),
-                level: to,
-                height: h.height(),
-            })?;
-            maps.push(m);
-            parts.push((a, to));
-        }
-        let spec = GroupSpec::new(parts)?;
+        let (spec, maps) = self.spec.rollup_to(schema, target)?;
+        let space = KeySpace::for_spec(schema, &spec);
         let mut span = incognito_obs::trace::span("spill.rollup")
             .arg("partitions", self.partitions.len() as u64);
-        let child = self.derive(spec, spill_root, |key| {
-            let mut out = GroupKey::default();
-            for (&v, map) in key.as_slice().iter().zip(&maps) {
-                out.push(map[v as usize]);
-            }
-            out
-        })?;
+        let child = self.derive(spec, space, spill_root, rollup_digits(&maps))?;
         span.set_arg("bytes", child.spilled_bytes());
         Ok(child)
     }
 
     /// The Subset Property (§3.3.2), out-of-core: keep only the key
-    /// positions in `keep` (indices into this set's parts, in output
-    /// order) and re-sum. Mirrors [`FrequencySet::project`].
+    /// positions in `keep` (strictly increasing indices into this set's
+    /// parts) and re-sum. Mirrors [`FrequencySet::project`].
     pub fn project(
         &self,
         keep: &[usize],
         spill_root: &Path,
     ) -> Result<ExternalFrequencySet, ExternalError> {
-        let mut parts = Vec::with_capacity(keep.len());
-        for &i in keep {
-            let Some(&part) = self.spec.parts().get(i) else {
-                return Err(TableError::IncompatibleSpec(format!(
-                    "project position {i} out of range for {} grouped attributes",
-                    self.spec.len()
-                ))
-                .into());
-            };
-            parts.push(part);
-        }
-        let spec = GroupSpec::new(parts)?;
+        let spec = self.spec.project(keep)?;
+        let space = self.space.project(keep);
         let mut span = incognito_obs::trace::span("spill.project")
             .arg("partitions", self.partitions.len() as u64);
-        let child = self.derive(spec, spill_root, |key| {
-            let slice = key.as_slice();
-            let mut out = GroupKey::default();
-            for &i in keep {
-                out.push(slice[i]);
-            }
-            out
-        })?;
+        let child = self.derive(spec, space, spill_root, project_digits(keep))?;
         span.set_arg("bytes", child.spilled_bytes());
         Ok(child)
     }
 
     /// Upgrade to the in-memory representation (requires the whole set to
-    /// fit, of course).
+    /// fit, of course), in the form an in-memory build would keep.
     pub fn into_frequency_set(self) -> Result<FrequencySet, ExternalError> {
         let _span = incognito_obs::trace::span("spill.upgrade")
             .arg("partitions", self.partitions.len() as u64);
-        let mut counts: FxHashMap<GroupKey, u64> = FxHashMap::default();
+        let records = self.spilled_bytes() / self.record_len() as u64;
+        let mut counts = Counts::accumulator(&self.space, records as usize);
         for idx in 0..self.partitions.len() {
-            for (k, c) in self.aggregate_partition(idx)? {
-                *counts.entry(k).or_insert(0) += c;
-            }
+            self.aggregate_partition(idx)?
+                .for_each_group(&self.space, |digits, c| counts.add(&self.space, digits, c));
         }
         incognito_obs::gauge_add("table.spill.upgrades", 1);
-        Ok(FrequencySet::from_parts(self.spec.clone(), counts, self.total))
+        Ok(FrequencySet::from_parts(self.spec.clone(), self.space.clone(), counts, self.total))
     }
 }
 
@@ -713,7 +692,8 @@ mod tests {
     fn truncated_partition_is_detected_before_aggregation() {
         let t = big_table(1_000);
         let spec = GroupSpec::ground(&[0, 1]).unwrap();
-        let record = spec.len() * 4 + 8;
+        // A packable spec spills a `u64` code and a `u64` count.
+        let record = 16;
 
         // Mid-record truncation.
         let ext = ExternalFrequencySet::build(&t, &spec, 1, &spill_root()).unwrap();
@@ -814,5 +794,57 @@ mod tests {
             ext.project(&[5], &spill_root()),
             Err(ExternalError::Table(_))
         ));
+    }
+
+    #[test]
+    fn packable_sets_spill_sixteen_bytes_per_record() {
+        let mid = crate::freq::tests::mid_table();
+        let wide = crate::freq::tests::wide_table(300);
+        for (t, spec, record) in [
+            (&big_table(1_000), GroupSpec::ground(&[0, 1]).unwrap(), 16),
+            (&mid, GroupSpec::ground(&[0, 1, 2]).unwrap(), 16),
+            // Too wide to pack: five `u32` components and the count.
+            (&wide, GroupSpec::ground(&[0, 1, 2, 3, 4]).unwrap(), 28),
+        ] {
+            // A built set spills one record per row ...
+            let ext = ExternalFrequencySet::build(t, &spec, 4, &spill_root()).unwrap();
+            assert_eq!(ext.spilled_bytes(), record * t.num_rows() as u64, "{spec:?}");
+            // ... and a projection one record per parent group, packed
+            // even from a wide parent once two attributes remain.
+            let child = ext.project(&[0, 1], &spill_root()).unwrap();
+            assert_eq!(child.spilled_bytes(), 16 * ext.num_groups().unwrap() as u64);
+        }
+    }
+
+    /// Budget admission upgrades a spilled child only when its estimate
+    /// fits the headroom, so the estimate must bound what the upgrade
+    /// holds: for a set kept as dense slots, one kept as a code map, and
+    /// one too wide to pack, both built and derived.
+    #[test]
+    fn estimate_bounds_the_upgraded_footprint_in_every_form() {
+        let mid = crate::freq::tests::mid_table();
+        let wide = crate::freq::tests::wide_table(1_500);
+        for (t, spec, form) in [
+            (&big_table(4_000), GroupSpec::ground(&[0, 1]).unwrap(), "dense"),
+            (&mid, GroupSpec::ground(&[0, 1, 2]).unwrap(), "packed"),
+            (&wide, GroupSpec::ground(&[0, 1, 2, 3, 4]).unwrap(), "hash"),
+        ] {
+            let ext = ExternalFrequencySet::build(t, &spec, 8, &spill_root()).unwrap();
+            let same_level: Vec<LevelNo> = spec.parts().iter().map(|&(_, l)| l).collect();
+            let child = ext.rollup(t.schema(), &same_level, &spill_root()).unwrap();
+            let in_memory = t.frequency_set(&spec).unwrap();
+            assert_eq!(in_memory.form(), form);
+            for set in [ext, child] {
+                let estimate = set.estimated_resident_bytes();
+                let upgraded = set.into_frequency_set().unwrap();
+                assert_eq!(upgraded.form(), form, "upgrades land in the in-memory form");
+                assert_eq!(upgraded.resident_bytes(), in_memory.resident_bytes());
+                assert!(
+                    estimate >= upgraded.resident_bytes(),
+                    "{form}: estimate {estimate} < resident {}",
+                    upgraded.resident_bytes()
+                );
+            }
+        }
     }
 }

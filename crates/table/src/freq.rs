@@ -11,8 +11,16 @@
 //! * [`FrequencySet::project`] drops attributes and re-sums (used by Cube
 //!   Incognito's zero-generalization pre-computation, §3.3.2; its soundness
 //!   is the **Subset Property**).
+//!
+//! A set keeps its groups as mixed-radix `u64` codes over the spec's
+//! `KeySpace` from scan through rollup, projection and spill: a dense
+//! slot vector when that is no larger than a code map for the same groups,
+//! otherwise a code → count map. Only key spaces wider than 64 bits fall
+//! back to a map keyed by [`GroupKey`], which otherwise appears only at the
+//! API edges ([`FrequencySet::count`], [`FrequencySet::iter`]).
 
 use std::hash::{Hash, Hasher};
+use std::ops::Range;
 use std::sync::Arc;
 
 use incognito_hierarchy::{LevelNo, ValueId};
@@ -89,6 +97,52 @@ impl GroupSpec {
             }
         }
         Ok(())
+    }
+
+    /// The spec `target` levels up from this one (one level per part,
+    /// each ≥ the current level), with the γ map taking each key
+    /// component there. Shared by the in-memory and out-of-core rollups.
+    pub(crate) fn rollup_to<'s>(
+        &self,
+        schema: &'s Schema,
+        target: &[LevelNo],
+    ) -> Result<(GroupSpec, Vec<&'s [ValueId]>), TableError> {
+        if target.len() != self.len() {
+            return Err(TableError::IncompatibleSpec(format!(
+                "rollup target has {} levels, spec has {}",
+                target.len(),
+                self.len()
+            )));
+        }
+        let mut maps = Vec::with_capacity(target.len());
+        for (&(a, from), &to) in self.parts.iter().zip(target) {
+            let h = schema.hierarchy(a);
+            if to < from {
+                return Err(TableError::IncompatibleSpec(format!(
+                    "cannot roll attribute {a} down from level {from} to {to}"
+                )));
+            }
+            // Memoized at hierarchy construction — an O(1) borrow per part.
+            maps.push(h.between_map(from, to).map_err(|_| TableError::LevelOutOfRange {
+                attribute: schema.attribute(a).name().to_string(),
+                level: to,
+                height: h.height(),
+            })?);
+        }
+        let parts = self.parts.iter().zip(target).map(|(&(a, _), &l)| (a, l)).collect();
+        Ok((GroupSpec { parts }, maps))
+    }
+
+    /// The spec keeping only the positions in `keep`, which must be
+    /// strictly increasing and in range.
+    pub(crate) fn project(&self, keep: &[usize]) -> Result<GroupSpec, TableError> {
+        if keep.iter().any(|&p| p >= self.len()) || keep.windows(2).any(|w| w[0] >= w[1]) {
+            return Err(TableError::IncompatibleSpec(format!(
+                "projection positions must be strictly increasing and < {}",
+                self.len()
+            )));
+        }
+        Ok(GroupSpec { parts: keep.iter().map(|&p| self.parts[p]).collect() })
     }
 }
 
@@ -177,22 +231,35 @@ const DENSE_MAX_SLOTS: u64 = 1 << 16;
 /// Rows sampled from the head of a scan before sizing its hash map.
 const SCAN_SAMPLE_ROWS: usize = 1024;
 
+/// Fewest rows worth one shard of a parallel scan.
+const MIN_SHARD_ROWS: usize = 1024;
+
+/// Heap bytes per slot of a code map: a `(u64, u64)` entry plus one
+/// SwissTable control byte.
+const CODE_SLOT_BYTES: u64 = std::mem::size_of::<(u64, u64)>() as u64 + 1;
+
+/// Heap bytes per slot of a [`GroupKey`] map.
+const KEY_SLOT_BYTES: u64 = std::mem::size_of::<(GroupKey, u64)>() as u64 + 1;
+
 /// Mixed-radix layout over a key space with known per-position
-/// cardinalities: packs a [`GroupKey`] into a single `u64` when the
-/// product of cardinalities fits, and tells aggregation kernels when the
-/// space is small enough for a flat dense accumulator.
-struct KeySpace {
+/// cardinalities: packs a key into a single `u64` code when the product of
+/// cardinalities fits, and tells the kernels when the space is small
+/// enough for a flat dense accumulator.
+#[derive(Debug, Clone)]
+pub(crate) struct KeySpace {
+    /// Cardinality of each key position.
+    dims: Vec<u64>,
     /// Row-major strides: `strides[i]` = product of cardinalities of the
     /// positions after `i` (`strides.last() == 1`).
     strides: Vec<u64>,
-    /// Total number of distinct packed keys, `None` when it overflows
-    /// `u64` (packing impossible; callers fall back to hashed group keys).
+    /// Total number of distinct codes, `None` when it overflows `u64`
+    /// (packing impossible; sets fall back to [`GroupKey`] maps).
     slots: Option<u64>,
 }
 
 impl KeySpace {
     /// Layout for per-position cardinalities `dims` (each ≥ 1).
-    fn new(dims: &[u64]) -> KeySpace {
+    fn new(dims: Vec<u64>) -> KeySpace {
         let mut strides = vec![1u64; dims.len()];
         let mut slots: Option<u64> = Some(1);
         for i in (0..dims.len()).rev() {
@@ -200,15 +267,25 @@ impl KeySpace {
             strides[i] = slots.unwrap_or(0);
             slots = slots.and_then(|s| s.checked_mul(dims[i]));
         }
-        KeySpace { strides, slots }
+        KeySpace { dims, strides, slots }
     }
 
-    /// Layout of the scan key space of `spec`: one dimension per part,
-    /// sized by the attribute's domain at the grouped level.
-    fn for_spec(schema: &Schema, spec: &GroupSpec) -> KeySpace {
-        let dims: Vec<u64> =
-            spec.parts.iter().map(|&(a, l)| schema.hierarchy(a).level_size(l) as u64).collect();
-        KeySpace::new(&dims)
+    /// Layout of `spec`'s key space: one dimension per part, sized by the
+    /// attribute's domain at the grouped level.
+    pub(crate) fn for_spec(schema: &Schema, spec: &GroupSpec) -> KeySpace {
+        KeySpace::new(
+            spec.parts.iter().map(|&(a, l)| schema.hierarchy(a).level_size(l) as u64).collect(),
+        )
+    }
+
+    /// The sub-space of the positions in `keep`.
+    pub(crate) fn project(&self, keep: &[usize]) -> KeySpace {
+        KeySpace::new(keep.iter().map(|&p| self.dims[p]).collect())
+    }
+
+    /// Number of key positions.
+    pub(crate) fn arity(&self) -> usize {
+        self.dims.len()
     }
 
     /// Whether the whole space fits a dense `Vec<u64>` accumulator.
@@ -217,7 +294,7 @@ impl KeySpace {
     }
 
     /// Whether keys pack into a single `u64`.
-    fn is_packable(&self) -> bool {
+    pub(crate) fn is_packable(&self) -> bool {
         self.slots.is_some()
     }
 
@@ -229,30 +306,54 @@ impl KeySpace {
         self.slots.expect("dense key space") as usize
     }
 
-    /// Invert [`GroupKey`] packing: decode a packed index back into a key.
-    fn unpack(&self, mut idx: u64) -> GroupKey {
-        let mut key = GroupKey::default();
-        for &stride in &self.strides {
-            let v = idx / stride;
-            idx -= v * stride;
-            key.push(v as ValueId);
-        }
-        key
+    /// Whether a dense slot vector for `groups` groups is no larger than a
+    /// code map holding them.
+    fn dense_fits(&self, groups: usize) -> bool {
+        self.is_dense() && self.len() as u64 * 8 <= map_capacity(groups) as u64 * CODE_SLOT_BYTES
     }
 
-    /// Convert a dense accumulator into the hash-map representation,
-    /// sized exactly to the occupied slots.
-    fn gather(&self, dense: &[u64]) -> FxHashMap<GroupKey, u64> {
-        let occupied = dense.iter().filter(|&&c| c != 0).count();
-        let mut out: FxHashMap<GroupKey, u64> =
-            FxHashMap::with_capacity_and_hasher(occupied, Default::default());
-        for (idx, &c) in dense.iter().enumerate() {
-            if c != 0 {
-                out.insert(self.unpack(idx as u64), c);
-            }
-        }
-        out
+    /// Pack in-domain digits into their code (packable spaces only).
+    #[inline]
+    pub(crate) fn pack(&self, digits: &[ValueId]) -> u64 {
+        digits.iter().zip(&self.strides).map(|(&v, &s)| v as u64 * s).sum()
     }
+
+    /// Decode `code` into its digits.
+    #[inline]
+    fn decode(&self, mut code: u64, digits: &mut [ValueId]) {
+        for (d, &stride) in digits.iter_mut().zip(&self.strides) {
+            let v = code / stride;
+            code -= v * stride;
+            *d = v as ValueId;
+        }
+    }
+
+    /// Decode `code` into a [`GroupKey`].
+    fn unpack(&self, code: u64) -> GroupKey {
+        let mut key = GroupKey { len: self.arity() as u8, ..GroupKey::default() };
+        self.decode(code, &mut key.vals[..self.arity()]);
+        key
+    }
+}
+
+/// Slots of a SwissTable map grown to hold `n` entries: power-of-two
+/// buckets at a 7/8 load factor (tables under 8 buckets keep one free).
+/// The frequency-set maps are trimmed to exactly this after aggregation,
+/// so it is also what a settled map of `n` groups holds.
+pub(crate) fn map_capacity(n: usize) -> usize {
+    match n {
+        0 => 0,
+        1..=3 => 3,
+        4..=7 => 7,
+        _ => (n * 8 / 7).next_power_of_two() / 8 * 7,
+    }
+}
+
+/// Heap bytes a settled set of `groups` groups over `space` holds at most:
+/// a map's footprint, which the dense form never exceeds.
+pub(crate) fn settled_bytes_bound(space: &KeySpace, groups: u64) -> u64 {
+    let slot = if space.is_packable() { CODE_SLOT_BYTES } else { KEY_SLOT_BYTES };
+    map_capacity(groups.min(usize::MAX as u64) as usize) as u64 * slot
 }
 
 /// Estimate the number of distinct groups in `nrows` rows given that the
@@ -268,186 +369,300 @@ fn estimate_groups(nrows: usize, seen: usize, sample: usize) -> usize {
     est.min(nrows)
 }
 
-/// Estimated heap footprint of a group-count map: capacity × bucket size
-/// plus one control byte per slot (SwissTable layout). An estimate — the
-/// point is comparability across kernel tiers and cache snapshots, not
-/// byte-exact accounting (the tracking allocator owns that).
-fn map_resident_bytes(counts: &FxHashMap<GroupKey, u64>) -> u64 {
-    counts.capacity() as u64 * (std::mem::size_of::<(GroupKey, u64)>() as u64 + 1)
+/// Count `rows` by `key` into `m`, pre-sized from a sampled estimate of
+/// the group count instead of growing through rehash storms.
+fn count_rows<K: Hash + Eq>(
+    m: &mut FxHashMap<K, u64>,
+    rows: Range<usize>,
+    key: impl Fn(usize) -> K,
+) {
+    let sample = rows.start..rows.start + rows.len().min(SCAN_SAMPLE_ROWS);
+    for row in sample.clone() {
+        *m.entry(key(row)).or_insert(0) += 1;
+    }
+    m.reserve(estimate_groups(rows.len(), m.len(), sample.len()).saturating_sub(m.len()));
+    for row in sample.end..rows.end {
+        *m.entry(key(row)).or_insert(0) += 1;
+    }
+}
+
+/// Trim a map to the capacity it would have grown to for its entries.
+fn trim<K: Hash + Eq>(map: &mut FxHashMap<K, u64>) {
+    if map.capacity() > map_capacity(map.len()) {
+        map.shrink_to_fit();
+    }
+}
+
+/// The counts of a frequency set, keyed by group over a [`KeySpace`].
+#[derive(Debug, Clone)]
+pub(crate) enum Counts {
+    /// One slot per code of a dense space; a zero slot is an absent group.
+    Dense(Vec<u64>),
+    /// Code → count.
+    Codes(FxHashMap<u64, u64>),
+    /// Key → count, for spaces too wide to pack.
+    Keys(FxHashMap<GroupKey, u64>),
+}
+
+impl Counts {
+    /// An empty accumulator for at most `bound` groups over `space`: dense
+    /// slots when even `bound` groups would not make a smaller code map.
+    pub(crate) fn accumulator(space: &KeySpace, bound: usize) -> Counts {
+        if space.dense_fits(bound) {
+            Counts::Dense(vec![0; space.len()])
+        } else {
+            Counts::map_for(space)
+        }
+    }
+
+    /// An empty map accumulator over `space`.
+    pub(crate) fn map_for(space: &KeySpace) -> Counts {
+        if space.is_packable() {
+            Counts::Codes(FxHashMap::default())
+        } else {
+            Counts::Keys(FxHashMap::default())
+        }
+    }
+
+    /// The kernel tier that fills this form, as named in the
+    /// `table.kernel.<tier>.*` counters.
+    fn tier(&self) -> &'static str {
+        match self {
+            Counts::Dense(_) => "dense",
+            Counts::Codes(_) => "packed",
+            Counts::Keys(_) => "hash",
+        }
+    }
+
+    /// Add `c` to the group with (in-domain) `digits` over `space`.
+    #[inline]
+    pub(crate) fn add(&mut self, space: &KeySpace, digits: &[ValueId], c: u64) {
+        match self {
+            Counts::Dense(slots) => slots[space.pack(digits) as usize] += c,
+            Counts::Codes(m) => *m.entry(space.pack(digits)).or_insert(0) += c,
+            Counts::Keys(m) => *m.entry(GroupKey::from_slice(digits)).or_insert(0) += c,
+        }
+    }
+
+    /// Fold `other`, an accumulator of the same form, into this one.
+    pub(crate) fn absorb(&mut self, other: Counts) {
+        fn absorb_map<K: Hash + Eq>(into: &mut FxHashMap<K, u64>, from: FxHashMap<K, u64>) {
+            into.reserve(from.len());
+            for (k, c) in from {
+                *into.entry(k).or_insert(0) += c;
+            }
+        }
+        match (self, other) {
+            (Counts::Dense(a), Counts::Dense(b)) => a.iter_mut().zip(b).for_each(|(x, y)| *x += y),
+            (Counts::Codes(a), Counts::Codes(b)) => absorb_map(a, b),
+            (Counts::Keys(a), Counts::Keys(b)) => absorb_map(a, b),
+            _ => unreachable!("accumulators over one key space share a form"),
+        }
+    }
+
+    /// Visit every group as its digits over `space` and its count.
+    pub(crate) fn for_each_group(&self, space: &KeySpace, mut f: impl FnMut(&[ValueId], u64)) {
+        let mut buf = [0 as ValueId; MAX_KEY_ATTRS];
+        let digits = &mut buf[..space.arity()];
+        let mut visit = |code: u64, c: u64| {
+            space.decode(code, digits);
+            f(digits, c);
+        };
+        match self {
+            Counts::Dense(slots) => {
+                for (code, &c) in slots.iter().enumerate().filter(|(_, &c)| c != 0) {
+                    visit(code as u64, c);
+                }
+            }
+            Counts::Codes(m) => m.iter().for_each(|(&code, &c)| visit(code, c)),
+            Counts::Keys(m) => m.iter().for_each(|(key, &c)| f(key.as_slice(), c)),
+        }
+    }
+
+    /// The form this accumulator is kept in once complete, with its group
+    /// count: dense slots only while no larger than a code map of the same
+    /// groups (which a dense accumulator is whenever that holds), maps
+    /// trimmed to their grown capacity.
+    fn settle(self, space: &KeySpace) -> (Counts, usize) {
+        match self {
+            Counts::Dense(slots) => {
+                let groups = slots.iter().filter(|&&c| c != 0).count();
+                if space.dense_fits(groups) {
+                    return (Counts::Dense(slots), groups);
+                }
+                let mut m = FxHashMap::with_capacity_and_hasher(groups, Default::default());
+                m.extend(
+                    slots.iter().enumerate().filter(|(_, &c)| c != 0).map(|(i, &c)| (i as u64, c)),
+                );
+                (Counts::Codes(m), groups)
+            }
+            Counts::Codes(mut m) => {
+                trim(&mut m);
+                let groups = m.len();
+                (Counts::Codes(m), groups)
+            }
+            Counts::Keys(mut m) => {
+                trim(&mut m);
+                let groups = m.len();
+                (Counts::Keys(m), groups)
+            }
+        }
+    }
+
+    /// Estimated heap footprint: slot-vector length, or map capacity ×
+    /// bucket size plus one control byte per slot (SwissTable layout). The
+    /// point is comparability across forms and cache snapshots, not
+    /// byte-exact accounting (the tracking allocator owns that).
+    fn resident_bytes(&self) -> u64 {
+        match self {
+            Counts::Dense(slots) => slots.len() as u64 * 8,
+            Counts::Codes(m) => m.capacity() as u64 * CODE_SLOT_BYTES,
+            Counts::Keys(m) => m.capacity() as u64 * KEY_SLOT_BYTES,
+        }
+    }
+
+    /// Every group's count, in arbitrary order.
+    pub(crate) fn values(&self) -> Box<dyn Iterator<Item = u64> + '_> {
+        match self {
+            Counts::Dense(slots) => Box::new(slots.iter().copied().filter(|&c| c != 0)),
+            Counts::Codes(m) => Box::new(m.values().copied()),
+            Counts::Keys(m) => Box::new(m.values().copied()),
+        }
+    }
+}
+
+/// Digit remapping of a rollup: component `i` goes through `maps[i]`.
+pub(crate) fn rollup_digits<'m>(
+    maps: &'m [&'m [ValueId]],
+) -> impl Fn(&[ValueId], &mut [ValueId]) + 'm {
+    move |src, out| {
+        for ((o, &v), map) in out.iter_mut().zip(src).zip(maps) {
+            *o = map[v as usize];
+        }
+    }
+}
+
+/// Digit remapping of a projection onto the positions in `keep`.
+pub(crate) fn project_digits(keep: &[usize]) -> impl Fn(&[ValueId], &mut [ValueId]) + '_ {
+    move |src, out| {
+        for (o, &p) in out.iter_mut().zip(keep) {
+            *o = src[p];
+        }
+    }
 }
 
 /// The frequency set of a table with respect to a [`GroupSpec`].
 #[derive(Debug, Clone)]
 pub struct FrequencySet {
     spec: GroupSpec,
-    counts: FxHashMap<GroupKey, u64>,
+    space: KeySpace,
+    counts: Counts,
+    groups: usize,
     total: u64,
 }
 
 impl FrequencySet {
-    /// Compute by scanning `table` (the spec must already be validated).
-    pub(crate) fn scan(table: &Table, spec: &GroupSpec) -> FrequencySet {
-        let _span = incognito_obs::span("table.scan.time");
-        let mut tspan = incognito_obs::trace::span("table.scan")
-            .arg("rows", table.num_rows() as u64);
-        incognito_obs::incr("table.scan.count");
-        incognito_obs::add("table.scan.rows", table.num_rows() as u64);
-        let schema = table.schema();
-        let maps: Vec<&[ValueId]> = spec
-            .parts
-            .iter()
-            .map(|&(a, l)| schema.hierarchy(a).map_to_level(l))
-            .collect();
-        let cols: Vec<&[ValueId]> = spec.parts.iter().map(|&(a, _)| table.column(a)).collect();
-        let nrows = table.num_rows();
-        let space = KeySpace::for_spec(schema, spec);
-        let counts = Self::scan_rows(&cols, &maps, 0..nrows, &space);
-        tspan.set_arg("groups", counts.len() as u64);
-        FrequencySet { spec: spec.clone(), counts, total: nrows as u64 }
+    /// Assemble a set from an accumulator, settling it into its kept form.
+    pub(crate) fn from_parts(
+        spec: GroupSpec,
+        space: KeySpace,
+        counts: Counts,
+        total: u64,
+    ) -> FrequencySet {
+        let (counts, groups) = counts.settle(&space);
+        FrequencySet { spec, space, counts, groups, total }
     }
 
-    /// Aggregate one contiguous row range into a group-count map, choosing
-    /// the cheapest kernel the key space allows: a flat dense array, a
-    /// packed-`u64` hash map, or hashed [`GroupKey`]s. All three produce
-    /// identical counts; hashed kernels pre-size themselves from a sampled
-    /// group-count estimate instead of growing through rehash storms.
+    /// Aggregate one contiguous row range into `counts`, with the kernel
+    /// its form selects: a flat dense array, a code map, or hashed
+    /// [`GroupKey`]s. All three produce identical counts.
     fn scan_rows(
         cols: &[&[ValueId]],
         maps: &[&[ValueId]],
-        rows: std::ops::Range<usize>,
+        rows: Range<usize>,
         space: &KeySpace,
-    ) -> FxHashMap<GroupKey, u64> {
-        let nrows = rows.len();
-        if space.is_packable() {
-            let pack = |row: usize| -> u64 {
-                let mut idx = 0u64;
-                for ((col, map), &stride) in cols.iter().zip(maps).zip(&space.strides) {
-                    idx += map[col[row] as usize] as u64 * stride;
-                }
-                idx
-            };
-            if space.is_dense() {
-                incognito_obs::incr("table.scan.dense");
-                incognito_obs::add("table.kernel.dense.slot_bytes", space.len() as u64 * 8);
-                let mut dense = vec![0u64; space.len()];
-                for row in rows {
-                    dense[pack(row) as usize] += 1;
-                }
-                let counts = space.gather(&dense);
-                incognito_obs::add("table.kernel.dense.groups", counts.len() as u64);
-                incognito_obs::add("table.kernel.dense.bytes", map_resident_bytes(&counts));
-                return counts;
+        mut counts: Counts,
+    ) -> Counts {
+        let code = |row: usize| -> u64 {
+            let mut idx = 0u64;
+            for ((col, map), &stride) in cols.iter().zip(maps).zip(&space.strides) {
+                idx += map[col[row] as usize] as u64 * stride;
             }
-            incognito_obs::incr("table.scan.packed");
-            let mut packed: FxHashMap<u64, u64> = FxHashMap::default();
-            let sample = nrows.min(SCAN_SAMPLE_ROWS);
-            for row in rows.start..rows.start + sample {
-                *packed.entry(pack(row)).or_insert(0) += 1;
-            }
-            packed
-                .reserve(estimate_groups(nrows, packed.len(), sample).saturating_sub(packed.len()));
-            for row in rows.start + sample..rows.end {
-                *packed.entry(pack(row)).or_insert(0) += 1;
-            }
-            let mut counts: FxHashMap<GroupKey, u64> =
-                FxHashMap::with_capacity_and_hasher(packed.len(), Default::default());
-            counts.extend(packed.into_iter().map(|(idx, c)| (space.unpack(idx), c)));
-            incognito_obs::add("table.kernel.packed.groups", counts.len() as u64);
-            incognito_obs::add("table.kernel.packed.bytes", map_resident_bytes(&counts));
-            return counts;
-        }
-        let key_of = |row: usize| -> GroupKey {
-            let mut key = GroupKey::default();
-            for (col, map) in cols.iter().zip(maps) {
-                key.push(map[col[row] as usize]);
-            }
-            key
+            idx
         };
-        let mut counts: FxHashMap<GroupKey, u64> = FxHashMap::default();
-        let sample = nrows.min(SCAN_SAMPLE_ROWS);
-        for row in rows.start..rows.start + sample {
-            *counts.entry(key_of(row)).or_insert(0) += 1;
+        match &mut counts {
+            Counts::Dense(slots) => {
+                incognito_obs::incr("table.scan.dense");
+                incognito_obs::add("table.kernel.dense.slot_bytes", slots.len() as u64 * 8);
+                for row in rows {
+                    slots[code(row) as usize] += 1;
+                }
+            }
+            Counts::Codes(m) => {
+                incognito_obs::incr("table.scan.packed");
+                count_rows(m, rows, code);
+            }
+            Counts::Keys(m) => count_rows(m, rows, |row| {
+                let mut key = GroupKey::default();
+                for (col, map) in cols.iter().zip(maps) {
+                    key.push(map[col[row] as usize]);
+                }
+                key
+            }),
         }
-        counts.reserve(estimate_groups(nrows, counts.len(), sample).saturating_sub(counts.len()));
-        for row in rows.start + sample..rows.end {
-            *counts.entry(key_of(row)).or_insert(0) += 1;
-        }
-        incognito_obs::add("table.kernel.hash.groups", counts.len() as u64);
-        incognito_obs::add("table.kernel.hash.bytes", map_resident_bytes(&counts));
         counts
     }
 
-    /// Compute by scanning `table` with `threads` worker threads: rows are
-    /// sharded, each worker builds a local frequency map, and the shards
-    /// are merged. Exactly equivalent to [`FrequencySet::scan`] (counts are
-    /// associative); worthwhile once the table is large enough that the
-    /// scan dominates the merge (hundreds of thousands of rows).
-    pub(crate) fn scan_parallel(table: &Table, spec: &GroupSpec, threads: usize) -> FrequencySet {
+    /// Compute by scanning `table` (the spec must already be validated)
+    /// in up to `threads` row shards on the shared executor: each shard
+    /// aggregates its rows into its own accumulator, and the shards merge
+    /// — dense ones by element-wise add, maps into the largest. Exactly
+    /// equivalent to a serial scan (counts are associative); worthwhile
+    /// once the table is large enough that the scan dominates the merge
+    /// (hundreds of thousands of rows).
+    pub(crate) fn scan(table: &Table, spec: &GroupSpec, threads: usize) -> FrequencySet {
         let nrows = table.num_rows();
-        let threads = threads.clamp(1, nrows.max(1));
-        if threads == 1 || nrows < 2 * threads {
-            return FrequencySet::scan(table, spec);
-        }
+        let shards = threads.min(nrows / MIN_SHARD_ROWS).max(1);
         let _span = incognito_obs::span("table.scan.time");
-        let mut tspan = incognito_obs::trace::span("table.scan")
-            .arg("rows", nrows as u64)
-            .arg("threads", threads as u64);
+        let mut tspan = incognito_obs::trace::span("table.scan").arg("rows", nrows as u64);
+        if shards > 1 {
+            tspan.set_arg("threads", shards as u64);
+            incognito_obs::incr("table.scan.parallel");
+        }
         incognito_obs::incr("table.scan.count");
-        incognito_obs::incr("table.scan.parallel");
         incognito_obs::add("table.scan.rows", nrows as u64);
         let schema = table.schema();
-        let maps: Vec<&[ValueId]> = spec
-            .parts
-            .iter()
-            .map(|&(a, l)| schema.hierarchy(a).map_to_level(l))
-            .collect();
+        let maps: Vec<&[ValueId]> =
+            spec.parts.iter().map(|&(a, l)| schema.hierarchy(a).map_to_level(l)).collect();
         let cols: Vec<&[ValueId]> = spec.parts.iter().map(|&(a, _)| table.column(a)).collect();
-
-        let chunk = nrows.div_ceil(threads);
         let space = KeySpace::for_spec(schema, spec);
-        let mut shards: Vec<FxHashMap<GroupKey, u64>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|t| {
-                    let maps = &maps;
-                    let cols = &cols;
-                    let space = &space;
-                    scope.spawn(move || {
-                        let lo = t * chunk;
-                        let hi = ((t + 1) * chunk).min(nrows);
-                        Self::scan_rows(cols, maps, lo..hi, space)
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("scan worker panicked")).collect()
-        });
-
-        // Merge into the largest shard to minimize rehashing, reserving
-        // for the worst case (all groups distinct across shards) up front.
-        let biggest = shards
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, m)| m.len())
-            .map(|(i, _)| i)
-            .expect("at least one shard");
-        let mut counts = shards.swap_remove(biggest);
-        counts.reserve(shards.iter().map(|s| s.len()).sum());
-        for shard in shards {
-            for (k, c) in shard {
-                *counts.entry(k).or_insert(0) += c;
+        // Every shard starts from the form the whole scan would pick, so
+        // the shards merge like for like.
+        let shard = |rows: Range<usize>| {
+            Self::scan_rows(&cols, &maps, rows, &space, Counts::accumulator(&space, nrows))
+        };
+        let counts = if shards > 1 {
+            let mut parts = incognito_exec::shared(threads).parallel_for_chunks(
+                nrows,
+                nrows.div_ceil(shards),
+                shard,
+            );
+            let biggest =
+                (0..parts.len()).max_by_key(|&i| parts[i].resident_bytes()).expect("a shard");
+            let mut counts = parts.swap_remove(biggest);
+            for part in parts {
+                counts.absorb(part);
             }
-        }
-        tspan.set_arg("groups", counts.len() as u64);
-        FrequencySet { spec: spec.clone(), counts, total: nrows as u64 }
-    }
-
-    /// Assemble a frequency set from raw parts (used by the out-of-core
-    /// pipeline when upgrading to the in-memory representation).
-    pub(crate) fn from_parts(
-        spec: GroupSpec,
-        counts: FxHashMap<GroupKey, u64>,
-        total: u64,
-    ) -> FrequencySet {
-        FrequencySet { spec, counts, total }
+            counts
+        } else {
+            shard(0..nrows)
+        };
+        let tier = counts.tier();
+        let set = FrequencySet::from_parts(spec.clone(), space, counts, nrows as u64);
+        incognito_obs::add(&format!("table.kernel.{tier}.groups"), set.groups as u64);
+        incognito_obs::add(&format!("table.kernel.{tier}.bytes"), set.resident_bytes());
+        tspan.set_arg("groups", set.groups as u64);
+        set
     }
 
     /// The grouping spec this frequency set was computed under.
@@ -457,14 +672,20 @@ impl FrequencySet {
 
     /// Number of distinct value groups.
     pub fn num_groups(&self) -> usize {
-        self.counts.len()
+        self.groups
     }
 
-    /// Estimated heap bytes held by this frequency set (see
-    /// [`map_resident_bytes`]) — what the core engine's cache-occupancy
-    /// gauges account when this set is cached or materialized.
+    /// Estimated heap bytes held by this frequency set in the form it is
+    /// kept in — what the core engine's cache-occupancy gauges account
+    /// when this set is cached or materialized.
     pub fn resident_bytes(&self) -> u64 {
-        map_resident_bytes(&self.counts)
+        self.counts.resident_bytes()
+    }
+
+    /// The kernel tier whose form the counts are kept in.
+    #[cfg(test)]
+    pub(crate) fn form(&self) -> &'static str {
+        self.counts.tier()
     }
 
     /// Total tuple count (size of the underlying multiset).
@@ -472,31 +693,54 @@ impl FrequencySet {
         self.total
     }
 
-    /// Count for `key` (0 if absent).
+    /// Count for `key` (0 if absent, of the wrong arity, or with a
+    /// component outside its domain).
     pub fn count(&self, key: &GroupKey) -> u64 {
-        self.counts.get(key).copied().unwrap_or(0)
+        let digits = key.as_slice();
+        if digits.len() != self.space.arity()
+            || digits.iter().zip(&self.space.dims).any(|(&v, &d)| v as u64 >= d)
+        {
+            return 0;
+        }
+        match &self.counts {
+            Counts::Dense(slots) => slots[self.space.pack(digits) as usize],
+            Counts::Codes(m) => m.get(&self.space.pack(digits)).copied().unwrap_or(0),
+            Counts::Keys(m) => m.get(key).copied().unwrap_or(0),
+        }
     }
 
     /// Smallest group count, or `None` for an empty table.
     pub fn min_count(&self) -> Option<u64> {
-        self.counts.values().copied().min()
+        self.counts.values().min()
     }
 
     /// Iterate `(key, count)` pairs in arbitrary order.
-    pub fn iter(&self) -> impl Iterator<Item = (&GroupKey, u64)> + '_ {
-        self.counts.iter().map(|(k, &c)| (k, c))
+    pub fn iter(&self) -> impl Iterator<Item = (GroupKey, u64)> + '_ {
+        let space = &self.space;
+        let groups: Box<dyn Iterator<Item = (GroupKey, u64)>> = match &self.counts {
+            Counts::Dense(slots) => Box::new(
+                slots
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, &c)| c != 0)
+                    .map(|(code, &c)| (space.unpack(code as u64), c)),
+            ),
+            Counts::Codes(m) => Box::new(m.iter().map(|(&code, &c)| (space.unpack(code), c))),
+            Counts::Keys(m) => Box::new(m.iter().map(|(key, &c)| (*key, c))),
+        };
+        groups
     }
 
     /// K-Anonymity Property (§1.1): every count ≥ k. Vacuously true for an
     /// empty relation.
     pub fn is_k_anonymous(&self, k: u64) -> bool {
-        self.counts.values().all(|&c| c >= k)
+        self.counts.values().all(|c| c >= k)
     }
 
     /// Total number of tuples lying in groups smaller than `k` — the tuples
     /// that would have to be suppressed to make the relation k-anonymous.
     pub fn tuples_below(&self, k: u64) -> u64 {
-        self.counts.values().filter(|&&c| c < k).sum()
+        self.counts.values().filter(|&c| c < k).sum()
     }
 
     /// K-anonymity with the tuple-suppression extension of §2.1: the
@@ -506,82 +750,58 @@ impl FrequencySet {
         self.tuples_below(k) <= max_suppress
     }
 
+    /// Re-aggregate every group through `remap` (this set's digits → the
+    /// digits of `space`) into `acc`.
+    fn regroup(
+        &self,
+        mut acc: Counts,
+        space: &KeySpace,
+        remap: impl Fn(&[ValueId], &mut [ValueId]),
+    ) -> Counts {
+        let mut buf = [0 as ValueId; MAX_KEY_ATTRS];
+        let out = &mut buf[..space.arity()];
+        self.counts.for_each_group(&self.space, |digits, c| {
+            remap(digits, out);
+            acc.add(space, out, c);
+        });
+        acc
+    }
+
+    /// Derive the set of `spec` over `space` by re-aggregating every group
+    /// through `remap` — a rollup or a projection, named `op` in its spans
+    /// and `table.<op>.*` counters.
+    fn derive(
+        &self,
+        op: &str,
+        spec: GroupSpec,
+        space: KeySpace,
+        remap: impl Fn(&[ValueId], &mut [ValueId]),
+    ) -> FrequencySet {
+        let _span = incognito_obs::span(&format!("table.{op}.time"));
+        let mut tspan = incognito_obs::trace::span(format!("table.{op}"))
+            .arg("groups_in", self.groups as u64);
+        // Output groups never outnumber input groups (both only merge).
+        let acc = Counts::accumulator(&space, self.groups);
+        if let Counts::Dense(slots) = &acc {
+            incognito_obs::incr(&format!("table.{op}.dense"));
+            incognito_obs::add("table.kernel.dense.slot_bytes", slots.len() as u64 * 8);
+        }
+        let counts = self.regroup(acc, &space, remap);
+        let out = FrequencySet::from_parts(spec, space, counts, self.total);
+        incognito_obs::incr(&format!("table.{op}.count"));
+        incognito_obs::add(&format!("table.{op}.groups_in"), self.groups as u64);
+        incognito_obs::add(&format!("table.{op}.groups_out"), out.groups as u64);
+        tspan.set_arg("groups_out", out.groups as u64);
+        out
+    }
+
     /// **Rollup Property** (§3): produce the frequency set at higher levels
     /// `target` (one level per spec part, each ≥ the current level) by
     /// mapping each group through γ and summing counts — no table scan.
     pub fn rollup(&self, schema: &Schema, target: &[LevelNo]) -> Result<FrequencySet, TableError> {
-        let _span = incognito_obs::span("table.rollup.time");
-        let mut tspan = incognito_obs::trace::span("table.rollup")
-            .arg("groups_in", self.counts.len() as u64);
-        if target.len() != self.spec.len() {
-            return Err(TableError::IncompatibleSpec(format!(
-                "rollup target has {} levels, spec has {}",
-                target.len(),
-                self.spec.len()
-            )));
-        }
-        let mut maps: Vec<&[ValueId]> = Vec::with_capacity(target.len());
-        for (&(a, from), &to) in self.spec.parts.iter().zip(target) {
-            let h = schema.hierarchy(a);
-            if to < from {
-                return Err(TableError::IncompatibleSpec(format!(
-                    "cannot roll attribute {a} down from level {from} to {to}"
-                )));
-            }
-            // Memoized at hierarchy construction — an O(1) borrow per part.
-            let m = h.between_map(from, to).map_err(|_| TableError::LevelOutOfRange {
-                attribute: schema.attribute(a).name().to_string(),
-                level: to,
-                height: h.height(),
-            })?;
-            maps.push(m);
-        }
-        let dims: Vec<u64> = self
-            .spec
-            .parts
-            .iter()
-            .zip(target)
-            .map(|(&(a, _), &to)| schema.hierarchy(a).level_size(to) as u64)
-            .collect();
-        let space = KeySpace::new(&dims);
-        let counts = if space.is_dense() {
-            incognito_obs::incr("table.rollup.dense");
-            incognito_obs::add("table.kernel.dense.slot_bytes", space.len() as u64 * 8);
-            let mut dense = vec![0u64; space.len()];
-            for (key, &c) in &self.counts {
-                let mut idx = 0u64;
-                for ((&v, map), &stride) in key.as_slice().iter().zip(&maps).zip(&space.strides) {
-                    idx += map[v as usize] as u64 * stride;
-                }
-                dense[idx as usize] += c;
-            }
-            space.gather(&dense)
-        } else {
-            // Output groups never outnumber input groups (γ only merges).
-            let mut counts: FxHashMap<GroupKey, u64> =
-                FxHashMap::with_capacity_and_hasher(self.counts.len(), Default::default());
-            for (key, &c) in &self.counts {
-                let mut out = GroupKey::default();
-                for (&v, map) in key.as_slice().iter().zip(&maps) {
-                    out.push(map[v as usize]);
-                }
-                *counts.entry(out).or_insert(0) += c;
-            }
-            counts
-        };
-        let spec = GroupSpec::new(
-            self.spec
-                .parts
-                .iter()
-                .zip(target)
-                .map(|(&(a, _), &l)| (a, l))
-                .collect(),
-        )?;
-        incognito_obs::incr("table.rollup.count");
-        incognito_obs::add("table.rollup.groups_in", self.counts.len() as u64);
-        incognito_obs::add("table.rollup.groups_out", counts.len() as u64);
-        tspan.set_arg("groups_out", counts.len() as u64);
-        Ok(FrequencySet { spec, counts, total: self.total })
+        let (spec, maps) = self.spec.rollup_to(schema, target)?;
+        let space = KeySpace::for_spec(schema, &spec);
+        Ok(self.derive("rollup", spec, space, rollup_digits(&maps)))
     }
 
     /// **Subset Property** (§3): project onto the spec positions in `keep`
@@ -589,73 +809,16 @@ impl FrequencySet {
     /// Used by Cube Incognito to derive subset frequency sets from wider
     /// ones, data-cube style.
     pub fn project(&self, keep: &[usize]) -> Result<FrequencySet, TableError> {
-        let _span = incognito_obs::span("table.project.time");
-        let mut tspan = incognito_obs::trace::span("table.project")
-            .arg("groups_in", self.counts.len() as u64);
-        let mut prev: Option<usize> = None;
-        for &p in keep {
-            if p >= self.spec.len() || prev.is_some_and(|q| q >= p) {
-                return Err(TableError::IncompatibleSpec(format!(
-                    "projection positions must be strictly increasing and < {}",
-                    self.spec.len()
-                )));
-            }
-            prev = Some(p);
-        }
-        // `project` has no schema in scope, so derive the kept positions'
-        // cardinalities from the data: one cheap hash-free max pass.
-        let mut dims = vec![0u64; keep.len()];
-        for key in self.counts.keys() {
-            let slice = key.as_slice();
-            for (d, &p) in dims.iter_mut().zip(keep) {
-                *d = (*d).max(slice[p] as u64);
-            }
-        }
-        for d in &mut dims {
-            *d += 1;
-        }
-        let space = KeySpace::new(&dims);
-        let counts = if space.is_dense() {
-            incognito_obs::incr("table.project.dense");
-            incognito_obs::add("table.kernel.dense.slot_bytes", space.len() as u64 * 8);
-            let mut dense = vec![0u64; space.len()];
-            for (key, &c) in &self.counts {
-                let slice = key.as_slice();
-                let mut idx = 0u64;
-                for (&p, &stride) in keep.iter().zip(&space.strides) {
-                    idx += slice[p] as u64 * stride;
-                }
-                dense[idx as usize] += c;
-            }
-            space.gather(&dense)
-        } else {
-            let mut counts: FxHashMap<GroupKey, u64> =
-                FxHashMap::with_capacity_and_hasher(self.counts.len(), Default::default());
-            for (key, &c) in &self.counts {
-                let slice = key.as_slice();
-                let mut out = GroupKey::default();
-                for &p in keep {
-                    out.push(slice[p]);
-                }
-                *counts.entry(out).or_insert(0) += c;
-            }
-            counts
-        };
-        let spec = GroupSpec::new(keep.iter().map(|&p| self.spec.parts[p]).collect())?;
-        incognito_obs::incr("table.project.count");
-        incognito_obs::add("table.project.groups_in", self.counts.len() as u64);
-        incognito_obs::add("table.project.groups_out", counts.len() as u64);
-        tspan.set_arg("groups_out", counts.len() as u64);
-        Ok(FrequencySet { spec, counts, total: self.total })
+        let spec = self.spec.project(keep)?;
+        Ok(self.derive("project", spec, self.space.project(keep), project_digits(keep)))
     }
 
     /// Render the groups as label tuples (for display and tests), sorted
     /// lexicographically for determinism.
     pub fn to_labeled_rows(&self, schema: &Arc<Schema>) -> Vec<(Vec<String>, u64)> {
         let mut rows: Vec<(Vec<String>, u64)> = self
-            .counts
             .iter()
-            .map(|(key, &c)| {
+            .map(|(key, c)| {
                 let labels = key
                     .as_slice()
                     .iter()
@@ -671,10 +834,103 @@ impl FrequencySet {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::schema::{Attribute, Schema};
     use incognito_hierarchy::builders;
+
+    /// Zero-padded decimal labels `0..n`, `width` digits wide.
+    fn digit_labels(n: u32, width: usize) -> Vec<String> {
+        (0..n).map(|i| format!("{i:0width$}")).collect()
+    }
+
+    /// Three attributes whose ground space (200 × 2 × 40 = 16,000 codes)
+    /// can hold every form, over 5,000 rows.
+    pub(crate) fn mid_table() -> Table {
+        let (a, c) = (digit_labels(200, 3), digit_labels(40, 2));
+        let a: Vec<&str> = a.iter().map(String::as_str).collect();
+        let c: Vec<&str> = c.iter().map(String::as_str).collect();
+        let schema = Schema::new(vec![
+            Attribute::new("a", builders::round_digits("a", &a, 3).unwrap()),
+            Attribute::new("b", builders::suppression("b", &["x", "y"]).unwrap()),
+            Attribute::new("c", builders::round_digits("c", &c, 2).unwrap()),
+        ])
+        .unwrap();
+        let rows = 0..5_000u32;
+        let cols = vec![
+            rows.clone().map(|i| (i * 37) % 200).collect(),
+            rows.clone().map(|i| (i / 3) % 2).collect(),
+            rows.map(|i| (i * 11 + i / 7) % 40).collect(),
+        ];
+        Table::from_columns(schema, cols).unwrap()
+    }
+
+    /// Five attributes of 10,000 values each: the ground space (10^20
+    /// codes) is too wide to pack into a `u64`.
+    pub(crate) fn wide_table(rows: u32) -> Table {
+        let labels = digit_labels(10_000, 4);
+        let labels: Vec<&str> = labels.iter().map(String::as_str).collect();
+        let schema = Schema::new(
+            (0..5)
+                .map(|i| {
+                    let name = format!("w{i}");
+                    Attribute::new(&name, builders::round_digits(&name, &labels, 4).unwrap())
+                })
+                .collect(),
+        )
+        .unwrap();
+        // A SplitMix64 hash of (row, column) spreads values independently
+        // over every level's domain.
+        let value = |i: u32, j: u32| {
+            let mut x = (u64::from(i) << 3 | u64::from(j)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            ((x ^ (x >> 31)) % 10_000) as u32
+        };
+        let cols = (0..5).map(|j| (0..rows).map(|i| value(i, j)).collect()).collect();
+        Table::from_columns(schema, cols).unwrap()
+    }
+
+    /// Brute-force frequency set of `spec` over `t`.
+    fn brute(t: &Table, spec: &GroupSpec) -> FxHashMap<GroupKey, u64> {
+        let schema = t.schema();
+        let mut expected: FxHashMap<GroupKey, u64> = FxHashMap::default();
+        for row in 0..t.num_rows() {
+            let mut k = GroupKey::default();
+            for &(a, l) in spec.parts() {
+                k.push(schema.hierarchy(a).map_to_level(l)[t.column(a)[row] as usize]);
+            }
+            *expected.entry(k).or_insert(0) += 1;
+        }
+        expected
+    }
+
+    /// Empty accumulators of every form `space` can hold.
+    fn forms(space: &KeySpace) -> Vec<Counts> {
+        let mut forms = vec![Counts::Keys(FxHashMap::default())];
+        if space.is_packable() {
+            forms.push(Counts::Codes(FxHashMap::default()));
+        }
+        if space.is_dense() {
+            forms.push(Counts::Dense(vec![0; space.len()]));
+        }
+        forms
+    }
+
+    /// The groups of `counts` over `space`, keyed for comparison.
+    fn groups_of(counts: &Counts, space: &KeySpace) -> FxHashMap<GroupKey, u64> {
+        let mut out = FxHashMap::default();
+        counts.for_each_group(space, |digits, c| {
+            assert!(out.insert(GroupKey::from_slice(digits), c).is_none(), "group listed twice");
+        });
+        out
+    }
+
+    /// `set`'s groups held in the form of the empty accumulator `acc`.
+    fn in_form(set: &FrequencySet, mut acc: Counts) -> FrequencySet {
+        set.counts.for_each_group(&set.space, |digits, c| acc.add(&set.space, digits, c));
+        FrequencySet { counts: acc, ..set.clone() }
+    }
 
     fn patients() -> Table {
         // Figure 1's Patients table over ⟨Birthdate, Sex, Zipcode⟩.
@@ -751,16 +1007,12 @@ mod tests {
 
     #[test]
     fn key_space_pack_roundtrip() {
-        let space = KeySpace::new(&[3, 5, 2]);
+        let space = KeySpace::new(vec![3, 5, 2]);
         assert!(space.is_dense());
         assert_eq!(space.len(), 30);
         for idx in 0..30u64 {
             let key = space.unpack(idx);
-            let mut back = 0u64;
-            for (&v, &s) in key.as_slice().iter().zip(&space.strides) {
-                back += v as u64 * s;
-            }
-            assert_eq!(back, idx);
+            assert_eq!(space.pack(key.as_slice()), idx);
             assert!(key.as_slice().iter().zip([3u32, 5, 2]).all(|(&v, d)| v < d));
         }
     }
@@ -768,24 +1020,23 @@ mod tests {
     #[test]
     fn key_space_overflow_disables_packing() {
         // 5 dims of 2^13 = 2^65 > u64::MAX: no packing, no dense kernel.
-        let space = KeySpace::new(&[1 << 13; 5]);
+        let space = KeySpace::new(vec![1 << 13; 5]);
         assert!(!space.is_packable());
         assert!(!space.is_dense());
         // Just over the dense cutoff: packable but not dense.
-        let space = KeySpace::new(&[DENSE_MAX_SLOTS + 1]);
+        let space = KeySpace::new(vec![DENSE_MAX_SLOTS + 1]);
         assert!(space.is_packable());
         assert!(!space.is_dense());
         // Empty key space (projection onto nothing): one slot.
-        let space = KeySpace::new(&[]);
+        let space = KeySpace::new(vec![]);
         assert!(space.is_dense());
         assert_eq!(space.len(), 1);
         assert_eq!(space.unpack(0), GroupKey::default());
     }
 
-    /// Run `spec` over `t` through every kernel tier the key space can
-    /// express — the real tier, plus the packed and hash tiers forced by
-    /// forging the space's `slots` — and check each against a brute-force
-    /// count. Returns the number of distinct groups.
+    /// Scan `spec` over `t` into every form the key space can hold, and
+    /// check each against a brute-force count, both as raw accumulators
+    /// and once settled. Returns the number of distinct groups.
     fn assert_tiers_agree(t: &Table, spec: &GroupSpec) -> usize {
         let schema = t.schema();
         let maps: Vec<&[ValueId]> =
@@ -793,48 +1044,35 @@ mod tests {
         let cols: Vec<&[ValueId]> = spec.parts.iter().map(|&(a, _)| t.column(a)).collect();
         let space = KeySpace::for_spec(schema, spec);
         let nrows = t.num_rows();
-        let mut expected: FxHashMap<GroupKey, u64> = FxHashMap::default();
-        for row in 0..nrows {
-            let mut k = GroupKey::default();
-            for (col, map) in cols.iter().zip(&maps) {
-                k.push(map[col[row] as usize]);
+        let expected = brute(t, spec);
+        for acc in forms(&space) {
+            let tier = acc.tier();
+            let got = FrequencySet::scan_rows(&cols, &maps, 0..nrows, &space, acc);
+            assert_eq!(groups_of(&got, &space), expected, "{tier} kernel diverged");
+            let set = FrequencySet::from_parts(spec.clone(), space.clone(), got, nrows as u64);
+            assert_eq!(set.num_groups(), expected.len(), "{tier}");
+            for (k, &c) in &expected {
+                assert_eq!(set.count(k), c, "{tier}");
             }
-            *expected.entry(k).or_insert(0) += 1;
         }
-        if space.is_dense() {
-            let got = FrequencySet::scan_rows(&cols, &maps, 0..nrows, &space);
-            assert_eq!(got, expected, "dense kernel diverged");
-        }
-        if space.is_packable() {
-            // Oversized slot count: still packable, never dense.
-            let forced =
-                KeySpace { strides: space.strides.clone(), slots: Some(DENSE_MAX_SLOTS + 1) };
-            let got = FrequencySet::scan_rows(&cols, &maps, 0..nrows, &forced);
-            assert_eq!(got, expected, "packed kernel diverged");
-        }
-        let hash_space = KeySpace { strides: space.strides.clone(), slots: None };
-        let got = FrequencySet::scan_rows(&cols, &maps, 0..nrows, &hash_space);
-        assert_eq!(got, expected, "hash kernel diverged");
-        // The public path picks whichever tier the real space selects.
+        // The public path picks whichever form the real space selects.
         let via_table = t.frequency_set(spec).unwrap();
         assert_eq!(via_table.num_groups(), expected.len());
-        for (k, &c) in &expected {
-            assert_eq!(via_table.count(k), c);
-        }
+        assert_eq!(via_table.iter().collect::<FxHashMap<_, _>>(), expected);
         expected.len()
     }
 
     #[test]
     fn key_space_dense_boundary_is_exact() {
-        let at = KeySpace::new(&[DENSE_MAX_SLOTS]);
+        let at = KeySpace::new(vec![DENSE_MAX_SLOTS]);
         assert!(at.is_dense());
         assert_eq!(at.len() as u64, 1 << 16);
-        let past = KeySpace::new(&[DENSE_MAX_SLOTS + 1]);
+        let past = KeySpace::new(vec![DENSE_MAX_SLOTS + 1]);
         assert!(past.is_packable() && !past.is_dense());
         // Mixed-radix shapes hit the same boundary: 256 × 256 is the
         // widest dense space, 256 × 257 already is not.
-        assert!(KeySpace::new(&[256, 256]).is_dense());
-        assert!(!KeySpace::new(&[256, 257]).is_dense());
+        assert!(KeySpace::new(vec![256, 256]).is_dense());
+        assert!(!KeySpace::new(vec![256, 257]).is_dense());
     }
 
     #[test]
@@ -982,28 +1220,55 @@ mod tests {
         let base = patients();
         let schema = base.schema().clone();
         let mut cols: Vec<Vec<u32>> = vec![Vec::new(); schema.arity()];
-        for i in 0..1_000u32 {
+        for i in 0..10_000u32 {
             cols[0].push(i % 3);
             cols[1].push(i % 2);
             cols[2].push((i * 7) % 4);
         }
         let t = Table::from_columns(schema.clone(), cols).unwrap();
-        for spec in [
-            GroupSpec::ground(&[0, 1, 2]).unwrap(),
-            GroupSpec::new(vec![(1, 1), (2, 1)]).unwrap(),
+        // Dense shards (Patients), code-map shards (300 × 300 = 90,000
+        // codes, past the dense cutoff) and key-map shards (a space too
+        // wide to pack) each merge their own way.
+        let labels: Vec<String> = (0..300).map(|i| format!("v{i}")).collect();
+        let label_refs: Vec<&str> = labels.iter().map(String::as_str).collect();
+        let sparse_schema = Schema::new(vec![
+            Attribute::new("a", builders::suppression("a", &label_refs).unwrap()),
+            Attribute::new("b", builders::suppression("b", &label_refs).unwrap()),
+        ])
+        .unwrap();
+        let sparse = Table::from_columns(
+            sparse_schema,
+            vec![
+                (0..10_000u32).map(|i| (i * 7) % 300).collect(),
+                (0..10_000u32).map(|i| (i * 13 + i / 300) % 300).collect(),
+            ],
+        )
+        .unwrap();
+        let wide = wide_table(4_000);
+        for (t, spec) in [
+            (&t, GroupSpec::ground(&[0, 1, 2]).unwrap()),
+            (&t, GroupSpec::new(vec![(1, 1), (2, 1)]).unwrap()),
+            (&sparse, GroupSpec::ground(&[0, 1]).unwrap()),
+            (&wide, GroupSpec::ground(&[0, 1, 2, 3, 4]).unwrap()),
         ] {
             let serial = t.frequency_set(&spec).unwrap();
-            for threads in [1usize, 2, 3, 8, 1000, 5000] {
+            for threads in [1usize, 2, 3, 8] {
                 let par = t.frequency_set_parallel(&spec, threads).unwrap();
                 assert_eq!(
-                    par.to_labeled_rows(&schema),
-                    serial.to_labeled_rows(&schema),
+                    par.iter().collect::<FxHashMap<_, _>>(),
+                    serial.iter().collect::<FxHashMap<_, _>>(),
                     "threads={threads}"
                 );
                 assert_eq!(par.total(), serial.total());
+                assert_eq!(par.resident_bytes(), serial.resident_bytes(), "same form");
             }
         }
-        // Degenerate inputs.
+        // Degenerate inputs: fewer rows than threads, and no rows at all.
+        let tiny = base.frequency_set_parallel(&GroupSpec::ground(&[0]).unwrap(), 8).unwrap();
+        assert_eq!(
+            tiny.to_labeled_rows(&schema),
+            base.frequency_set(&GroupSpec::ground(&[0]).unwrap()).unwrap().to_labeled_rows(&schema)
+        );
         let empty = Table::empty(schema);
         let f = empty
             .frequency_set_parallel(&GroupSpec::ground(&[0]).unwrap(), 4)
@@ -1079,5 +1344,160 @@ mod tests {
         let empty = wide.project(&[]).unwrap();
         assert_eq!(empty.num_groups(), 1);
         assert_eq!(empty.iter().next().unwrap().1, 6);
+    }
+
+    /// Check rollups and projections of `src_spec`'s set from every source
+    /// form into every target form against a brute-force rescan, and the
+    /// public path from every source form against a scan of the target.
+    fn assert_derivations_agree(
+        t: &Table,
+        src_spec: &GroupSpec,
+        targets: &[Vec<LevelNo>],
+        keeps: &[Vec<usize>],
+    ) {
+        let schema = t.schema();
+        let src = t.frequency_set(src_spec).unwrap();
+        let sources: Vec<FrequencySet> =
+            forms(&src.space).into_iter().map(|acc| in_form(&src, acc)).collect();
+        let check = |spec: &GroupSpec,
+                     space: &KeySpace,
+                     remap: &dyn Fn(&[ValueId], &mut [ValueId]),
+                     public: &dyn Fn(&FrequencySet) -> FrequencySet| {
+            let expected = brute(t, spec);
+            let scanned = t.frequency_set(spec).unwrap().to_labeled_rows(schema);
+            for from in &sources {
+                for acc in forms(space) {
+                    let label = (from.form(), acc.tier());
+                    let got = from.regroup(acc, space, remap);
+                    assert_eq!(groups_of(&got, space), expected, "{spec:?} {label:?}");
+                }
+                let out = public(from);
+                assert_eq!(out.spec(), spec);
+                assert_eq!(out.to_labeled_rows(schema), scanned, "{spec:?}");
+                assert_eq!(out.total(), src.total());
+            }
+        };
+        for target in targets {
+            let (spec, maps) = src.spec.rollup_to(schema, target).unwrap();
+            let space = KeySpace::for_spec(schema, &spec);
+            check(&spec, &space, &rollup_digits(&maps), &|f| f.rollup(schema, target).unwrap());
+        }
+        for keep in keeps {
+            let spec = src.spec.project(keep).unwrap();
+            let space = src.space.project(keep);
+            check(&spec, &space, &project_digits(keep), &|f| f.project(keep).unwrap());
+        }
+    }
+
+    #[test]
+    fn rollup_and_project_agree_with_rescan_in_every_form() {
+        let t = mid_table();
+        assert_derivations_agree(
+            &t,
+            &GroupSpec::ground(&[0, 1, 2]).unwrap(),
+            &[vec![0, 0, 0], vec![1, 0, 1], vec![2, 1, 0], vec![1, 1, 2], vec![3, 1, 2]],
+            &[vec![], vec![0], vec![1, 2], vec![0, 2], vec![0, 1, 2]],
+        );
+        // A rolled-up source: derivations compose from any level.
+        assert_derivations_agree(
+            &t,
+            &GroupSpec::new(vec![(0, 1), (1, 0), (2, 1)]).unwrap(),
+            &[vec![2, 1, 1], vec![1, 0, 2]],
+            &[vec![0, 2]],
+        );
+    }
+
+    #[test]
+    fn wide_sets_roll_up_and_project_into_packable_targets() {
+        let t = wide_table(2_000);
+        let spec = GroupSpec::ground(&[0, 1, 2, 3, 4]).unwrap();
+        let wide = t.frequency_set(&spec).unwrap();
+        assert!(!wide.space.is_packable());
+        assert!(matches!(wide.counts, Counts::Keys(_)));
+        // Targets: still too wide; just packable (10^19 codes); a code map;
+        // a space small enough for dense slots.
+        let targets =
+            [vec![0, 0, 0, 0, 0], vec![0, 0, 0, 0, 1], vec![1, 1, 1, 1, 1], vec![3, 3, 3, 4, 4]];
+        for target in &targets {
+            let rolled = wide.rollup(t.schema(), target).unwrap();
+            assert_eq!(rolled.space.is_packable(), target != &targets[0], "{target:?}");
+        }
+        assert!(matches!(wide.rollup(t.schema(), &targets[3]).unwrap().counts, Counts::Dense(_)));
+        assert_derivations_agree(&t, &spec, &targets, &[vec![], vec![0, 1], vec![0, 1, 2, 3]]);
+    }
+
+    #[test]
+    fn count_is_zero_for_off_domain_or_misshapen_keys() {
+        let p = patients();
+        let w = wide_table(500);
+        for (t, spec) in [
+            (&p, GroupSpec::ground(&[1, 2]).unwrap()),
+            (&w, GroupSpec::ground(&[0, 1, 2, 3, 4]).unwrap()),
+        ] {
+            let set = t.frequency_set(&spec).unwrap();
+            for from in forms(&set.space).into_iter().map(|acc| in_form(&set, acc)) {
+                let (key, c) = from.iter().next().unwrap();
+                assert_eq!(from.count(&key), c);
+                let digits = key.as_slice();
+                // Too short, too long.
+                assert_eq!(from.count(&GroupKey::from_slice(&digits[1..])), 0);
+                let mut longer = key;
+                longer.push(0);
+                assert_eq!(from.count(&longer), 0);
+                // One past the domain of each position: packing it would
+                // alias another group's code.
+                for (i, &dim) in from.space.dims.iter().enumerate() {
+                    for bad in [dim as ValueId, ValueId::MAX] {
+                        let mut off = digits.to_vec();
+                        off[i] = bad;
+                        assert_eq!(from.count(&GroupKey::from_slice(&off)), 0, "pos {i} = {bad}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn resident_bytes_never_exceed_the_group_key_map() {
+        // A `GroupKey` → count map costs one `(GroupKey, u64)` slot plus a
+        // control byte per group. Packable sets must fit in that; sets too
+        // wide to pack are that map, trimmed to its grown capacity.
+        let check = |set: &FrequencySet| {
+            let groups = set.num_groups();
+            let bound = if set.space.is_packable() { groups } else { map_capacity(groups) };
+            assert!(
+                set.resident_bytes() <= bound as u64 * KEY_SLOT_BYTES,
+                "{:?}: {} bytes for {groups} groups",
+                set.spec(),
+                set.resident_bytes()
+            );
+        };
+        let mid = mid_table();
+        let wide = wide_table(1_000);
+        let empty = Table::empty(patients().schema().clone());
+        for t in [&patients(), &mid, &empty] {
+            let arity = t.schema().arity();
+            let heights: Vec<LevelNo> =
+                (0..arity).map(|a| t.schema().hierarchy(a).height()).collect();
+            // Every level combination over all attributes.
+            let mut levels = vec![0 as LevelNo; arity];
+            loop {
+                let spec =
+                    GroupSpec::new(levels.iter().enumerate().map(|(a, &l)| (a, l)).collect())
+                        .unwrap();
+                let set = t.frequency_set(&spec).unwrap();
+                check(&set);
+                check(&set.rollup(t.schema(), &heights).unwrap());
+                check(&set.project(&[0]).unwrap());
+                let Some(a) = (0..arity).find(|&a| levels[a] < heights[a]) else { break };
+                levels[a] += 1;
+                levels[..a].iter_mut().for_each(|l| *l = 0);
+            }
+        }
+        let spec = GroupSpec::ground(&[0, 1, 2, 3, 4]).unwrap();
+        let set = wide.frequency_set(&spec).unwrap();
+        check(&set);
+        check(&set.rollup(wide.schema(), &[1, 1, 1, 1, 1]).unwrap());
+        check(&set.project(&[0, 1]).unwrap());
     }
 }

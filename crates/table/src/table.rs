@@ -135,20 +135,20 @@ impl Table {
     /// + projection of Figure 4). One full scan of the involved columns.
     pub fn frequency_set(&self, spec: &GroupSpec) -> Result<FrequencySet, TableError> {
         spec.validate(&self.schema)?;
-        Ok(FrequencySet::scan(self, spec))
+        Ok(FrequencySet::scan(self, spec, 1))
     }
 
-    /// Like [`Table::frequency_set`], sharding the scan over `threads`
-    /// worker threads (plain `std::thread::scope`; counts merge
-    /// associatively, so the result is identical). Falls back to the serial
-    /// scan for small tables or `threads <= 1`.
+    /// Like [`Table::frequency_set`], sharding the scan's rows over up to
+    /// `threads` tasks on the shared executor (`incognito_exec::shared`;
+    /// counts merge associatively, so the result is identical). Falls back
+    /// to the serial scan for small tables or `threads <= 1`.
     pub fn frequency_set_parallel(
         &self,
         spec: &GroupSpec,
         threads: usize,
     ) -> Result<FrequencySet, TableError> {
         spec.validate(&self.schema)?;
-        Ok(FrequencySet::scan_parallel(self, spec, threads))
+        Ok(FrequencySet::scan(self, spec, threads))
     }
 
     /// Convenience: is this table k-anonymous with respect to the given
