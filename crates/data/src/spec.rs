@@ -33,7 +33,7 @@ use std::sync::Arc;
 use incognito_hierarchy::builders::{self, TaxonomyNode};
 use incognito_table::{Attribute, Schema, Table};
 
-use crate::csvio::CsvError;
+use crate::csvio::{CsvError, Record, Records};
 
 /// How one attribute generalizes.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -229,48 +229,45 @@ fn parse_tree(attr: &str, block: &[(usize, &str)]) -> Result<TaxonomyNode, SpecE
 }
 
 /// Load a CSV under a spec: the header must list the spec's attributes in
-/// order; ground domains for the inferred kinds are collected from the data
+/// order. Records are parsed by the same reader as
+/// [`crate::csvio::read_csv`], so quoted fields may hold commas, quotes and
+/// line breaks; unquoted fields are trimmed of surrounding whitespace.
+/// Ground domains for the inferred kinds are collected from the data
 /// (numerics sorted numerically so ordered-set models behave sensibly).
 pub fn load_csv_with_spec<R: BufRead>(
     spec: &SchemaSpec,
     input: R,
 ) -> Result<Table, SpecError> {
     // First pass: buffer the records and collect distinct values per column.
-    let mut lines = input.lines();
-    let header = lines
+    let mut records = Records::trimmed(input);
+    let header = records
         .next()
-        .ok_or(SpecError::Parse { line: 1, message: "missing CSV header".into() })?
-        .map_err(|e| SpecError::Csv(CsvError::Io(e)))?;
-    let names: Vec<&str> = header.split(',').map(str::trim).collect();
+        .ok_or(SpecError::Parse { line: 1, message: "missing CSV header".into() })??;
     let expected: Vec<&str> = spec.attributes.iter().map(|(n, _)| n.as_str()).collect();
-    if names != expected {
+    if header.fields != expected {
         return Err(SpecError::Parse {
-            line: 1,
-            message: format!("CSV header {names:?} does not match spec {expected:?}"),
+            line: header.line,
+            message: format!("CSV header {:?} does not match spec {expected:?}", header.fields),
         });
     }
-    let mut rows: Vec<Vec<String>> = Vec::new();
+    let mut rows: Vec<Record> = Vec::new();
     let mut domains: Vec<BTreeSet<String>> = vec![BTreeSet::new(); spec.attributes.len()];
-    for (idx, line) in lines.enumerate() {
-        let line = line.map_err(|e| SpecError::Csv(CsvError::Io(e)))?;
-        if line.is_empty() {
-            continue;
-        }
-        let fields: Vec<String> = line.split(',').map(|f| f.trim().to_string()).collect();
-        if fields.len() != spec.attributes.len() {
+    for record in records {
+        let record = record?;
+        if record.fields.len() != spec.attributes.len() {
             return Err(SpecError::Parse {
-                line: idx + 2,
+                line: record.line,
                 message: format!(
                     "row has {} fields, expected {}",
-                    fields.len(),
+                    record.fields.len(),
                     spec.attributes.len()
                 ),
             });
         }
-        for (d, f) in domains.iter_mut().zip(&fields) {
+        for (d, f) in domains.iter_mut().zip(&record.fields) {
             d.insert(f.clone());
         }
-        rows.push(fields);
+        rows.push(record);
     }
 
     // Build hierarchies per attribute.
@@ -302,10 +299,10 @@ pub fn load_csv_with_spec<R: BufRead>(
     let schema: Arc<Schema> = Schema::new(attrs).map_err(|e| SpecError::Csv(CsvError::Table(e)))?;
 
     let mut table = Table::empty(schema);
-    for (idx, fields) in rows.iter().enumerate() {
-        let refs: Vec<&str> = fields.iter().map(String::as_str).collect();
+    for record in &rows {
+        let refs: Vec<&str> = record.fields.iter().map(String::as_str).collect();
         table.push_row(&refs).map_err(|e| SpecError::Parse {
-            line: idx + 2,
+            line: record.line,
             message: e.to_string(),
         })?;
     }
@@ -395,6 +392,17 @@ Age,Sex,Zip,Work,Disease
         let spec = SchemaSpec::parse("A: identity\nB: identity").unwrap();
         let err = load_csv_with_spec(&spec, "A,C\n1,2\n".as_bytes()).unwrap_err();
         assert!(matches!(err, SpecError::Parse { line: 1, .. }));
+    }
+
+    #[test]
+    fn quoted_fields_keep_commas_and_unquoted_fields_are_trimmed() {
+        let spec = SchemaSpec::parse("City: identity\nZip: round 1").unwrap();
+        let csv = "City , Zip\n\"Madison, WI\", 53715\n Ann Arbor ,48104\n";
+        let t = load_csv_with_spec(&spec, csv.as_bytes()).unwrap();
+        assert_eq!(t.num_rows(), 2);
+        assert_eq!(t.label(0, 0), "Madison, WI");
+        assert_eq!(t.label(0, 1), "53715");
+        assert_eq!(t.label(1, 0), "Ann Arbor");
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Property tests for CSV round-tripping: arbitrary labels (including
-//! commas, quotes, and embedded whitespace) survive write → read intact.
+//! commas, quotes, carriage returns, newlines and embedded whitespace)
+//! survive write → read intact.
 //!
 //! Cases are generated from the workspace's seeded PRNG so every run
 //! checks the same set.
@@ -11,11 +12,49 @@ use incognito_hierarchy::builders;
 use incognito_obs::Rng;
 use incognito_table::{Attribute, Schema, Table};
 
-/// A random printable-ASCII label of 1–12 characters (commas and quotes
-/// included — labels are cell values, so only newlines are off-limits).
+/// A random label of 1–12 characters: printable ASCII plus `\r` and `\n`,
+/// so commas, quotes and line breaks all occur.
 fn printable_label(rng: &mut Rng) -> String {
     let len = rng.range_usize(1, 13);
-    (0..len).map(|_| char::from(b' ' + rng.below(95) as u8)).collect()
+    (0..len)
+        .map(|_| match rng.below(97) {
+            95 => '\r',
+            96 => '\n',
+            c => char::from(b' ' + c as u8),
+        })
+        .collect()
+}
+
+/// Write a two-attribute table whose every cell holds one of `labels`,
+/// read it back, and compare cell by cell.
+fn assert_roundtrips(labels: &[&str]) {
+    let schema = Schema::new(vec![
+        Attribute::new("X", builders::identity("X", labels).unwrap()),
+        Attribute::new("Y", builders::identity("Y", labels).unwrap()),
+    ])
+    .unwrap();
+    let mut table = Table::empty(schema);
+    for (i, x) in labels.iter().enumerate() {
+        table.push_row(&[x, labels[(i + 1) % labels.len()]]).unwrap();
+    }
+    let mut buf = Vec::new();
+    write_csv(&table, &mut buf).unwrap();
+    let back = read_csv(table.schema().clone(), &buf[..]).unwrap();
+    assert_eq!(back.num_rows(), table.num_rows());
+    for row in 0..table.num_rows() {
+        assert_eq!(back.label(row, 0), table.label(row, 0));
+        assert_eq!(back.label(row, 1), table.label(row, 1));
+    }
+}
+
+#[test]
+fn label_with_embedded_newline_roundtrips() {
+    assert_roundtrips(&["a\nb", "c"]);
+}
+
+#[test]
+fn label_ending_in_carriage_return_roundtrips() {
+    assert_roundtrips(&["x\r", "y"]);
 }
 
 #[test]

@@ -28,7 +28,9 @@
 //! `incognito-obs` (`exec.tasks`, `exec.inline`, `exec.steals`,
 //! `exec.parks`) and every stolen-or-popped task runs inside an
 //! `exec.task` trace span tagged with the worker index, so Perfetto
-//! exports show which worker ran which `check` span.
+//! exports show which worker ran which `check` span. That span's parent
+//! is the span open at the spawn site, so the trace tree stays one tree
+//! across threads.
 //!
 //! # Safety
 //!
@@ -53,10 +55,16 @@ use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// A type-erased, heap-allocated task. Tasks are `'static` from the
-/// queue's point of view; [`Scope::spawn`] erases the true `'scope`
-/// lifetime and [`Executor::scope`] restores the guarantee by joining.
-type Job = Box<dyn FnOnce() + Send + 'static>;
+/// A queued task. Tasks are `'static` from the queue's point of view;
+/// [`Scope::spawn`] erases the true `'scope` lifetime and
+/// [`Executor::scope`] restores the guarantee by joining.
+struct Job {
+    task: Box<dyn FnOnce() + Send + 'static>,
+    /// The trace span open on the spawning thread (captured only while
+    /// tracing is on): the job's `exec.task` span nests under it on
+    /// whichever thread runs the job.
+    parent: Option<u64>,
+}
 
 /// How long a parked worker sleeps before re-checking the queues. Parks
 /// are also interrupted eagerly by every push, so this only bounds the
@@ -158,7 +166,9 @@ impl Inner {
 
 /// Execute one claimed job, wrapped in a trace span so worker activity is
 /// visible in Perfetto exports (`worker` is the deque index, or the word
-/// "caller" for scope participants).
+/// "caller" for scope participants). The span nests under the span that
+/// was open where the job was spawned, not under whatever the executing
+/// thread has open.
 ///
 /// With memory attribution on, the span also carries the job's
 /// `alloc_bytes` delta and the `exec.alloc_bytes` counter accumulates it
@@ -172,9 +182,9 @@ fn run_job(job: Job, me: usize) {
     } else {
         None
     };
-    let span = incognito_obs::trace::span("exec.task");
+    let span = incognito_obs::trace::span_under("exec.task", job.parent);
     let span = if me == usize::MAX { span.arg("worker", "caller") } else { span.arg("worker", me as u64) };
-    job();
+    (job.task)();
     span.finish();
     if let Some(bytes_at_start) = mem_at_start {
         let delta = incognito_obs::mem::thread_allocated_bytes().saturating_sub(bytes_at_start);
@@ -242,8 +252,8 @@ impl<'pool, 'scope> Scope<'pool, 'scope> {
         // reaches zero (it waits even when the scope closure panics), so
         // the task — and every `'scope` borrow it captures — is dropped
         // while the borrowed stack frame is still alive.
-        let task: Job = unsafe { std::mem::transmute(task) };
-        self.exec.inner.push(task);
+        let task: Box<dyn FnOnce() + Send + 'static> = unsafe { std::mem::transmute(task) };
+        self.exec.inner.push(Job { task, parent: incognito_obs::trace::current() });
     }
 }
 

@@ -4,7 +4,9 @@
 //! Where [`crate::span`] feeds flat *timers* (aggregate count/total/max),
 //! a [`TraceSpan`] records one **event per occurrence** with its position
 //! in the call tree: each thread keeps a stack of open spans, a span's
-//! parent is whatever was on top of that stack when it opened, and the
+//! parent is whatever was on top of that stack when it opened (or, for
+//! work handed across threads, the span [`current`] reported on the
+//! handing thread, passed to [`span_under`]), and the
 //! completed events land in a process-global collector. [`drain`] hands
 //! the events back; [`write_chrome_trace`] serializes them as complete
 //! (`"ph": "X"`) events with microsecond timestamps relative to a common
@@ -98,7 +100,8 @@ pub struct TraceRecord {
     /// Process-wide open order; parents always have a smaller `seq` than
     /// their children.
     pub seq: u64,
-    /// `seq` of the enclosing span, if any was open on the same thread.
+    /// `seq` of the enclosing span: the innermost one open on the same
+    /// thread, or the one passed to [`span_under`].
     pub parent: Option<u64>,
     /// Open time in nanoseconds since the trace epoch.
     pub ts_ns: u64,
@@ -161,6 +164,32 @@ struct SpanState {
 /// open on this thread. Inert (no clock read, no allocation) while trace
 /// collection is disabled.
 pub fn span(name: impl Into<String>) -> TraceSpan {
+    open(name, None)
+}
+
+/// Open a span named `name` nested under `parent` — a `seq` from
+/// [`current`], possibly taken on another thread — instead of under this
+/// thread's innermost open span. Spans opened on this thread while it is
+/// open still nest under it. Inert while trace collection is disabled.
+pub fn span_under(name: impl Into<String>, parent: Option<u64>) -> TraceSpan {
+    open(name, Some(parent))
+}
+
+/// The `seq` of the innermost span open on this thread; `None` when no
+/// span is open or trace collection is disabled (one relaxed load then).
+/// Capture it where work is handed to another thread and pass it to
+/// [`span_under`] there, so the tree follows the hand-off.
+#[inline]
+pub fn current() -> Option<u64> {
+    if !enabled() {
+        return None;
+    }
+    STACK.with(|s| s.borrow().last().copied())
+}
+
+/// Shared body of [`span`] and [`span_under`]: `parent` overrides the
+/// thread's innermost open span when given.
+fn open(name: impl Into<String>, parent: Option<Option<u64>>) -> TraceSpan {
     if !enabled() {
         return TraceSpan { state: None };
     }
@@ -168,9 +197,9 @@ pub fn span(name: impl Into<String>) -> TraceSpan {
     let tid = TID.with(|t| *t);
     let parent = STACK.with(|s| {
         let mut s = s.borrow_mut();
-        let parent = s.last().copied();
+        let innermost = s.last().copied();
         s.push(seq);
-        parent
+        parent.unwrap_or(innermost)
     });
     let mem_at_open = if crate::mem::enabled() {
         Some((crate::mem::thread_allocated_bytes(), crate::mem::thread_alloc_count()))

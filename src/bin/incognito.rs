@@ -9,6 +9,10 @@
 //!                     [--select height|discernibility] [--list] [--output out.csv]
 //! ```
 //!
+//! `anonymize` writes the released CSV to `--output`, or to stdout when
+//! that flag is absent; its status lines go to stderr, so
+//! `incognito anonymize ... > out.csv` yields a valid CSV.
+//!
 //! The spec format is documented in `incognito::data::spec` (one line per
 //! attribute: `identity`, `suppression`, `round N`, `ranges W1,W2 [suppress]`,
 //! or `taxonomy` with an indented tree).
@@ -171,7 +175,7 @@ fn anonymize(args: &Args) -> Result<(), String> {
     if result.is_empty() {
         return Err("no k-anonymous full-domain generalization exists under this budget".into());
     }
-    println!(
+    eprintln!(
         "{} k-anonymous generalization(s) found; {} nodes checked, {} table scans.",
         result.len(),
         result.stats().nodes_checked(),
@@ -179,7 +183,7 @@ fn anonymize(args: &Args) -> Result<(), String> {
     );
     if args.has("list") {
         for g in result.generalizations() {
-            println!("  {}  (height {})", g.describe(table.schema(), result.qi()), g.height());
+            eprintln!("  {}  (height {})", g.describe(table.schema(), result.qi()), g.height());
         }
     }
 
@@ -200,14 +204,14 @@ fn anonymize(args: &Args) -> Result<(), String> {
             .expect("nonempty result has a frontier"),
         other => return Err(format!("unknown --select {other:?}")),
     };
-    println!("selected {} (by {select})", chosen.describe(table.schema(), result.qi()));
+    eprintln!("selected {} (by {select})", chosen.describe(table.schema(), result.qi()));
 
     let (view, suppressed) = result.materialize(&table, chosen).map_err(|e| e.to_string())?;
-    println!("released {} rows ({suppressed} suppressed)", view.num_rows());
+    eprintln!("released {} rows ({suppressed} suppressed)", view.num_rows());
     if let Some(path) = args.get("output") {
         let file = File::create(path).map_err(|e| format!("creating {path}: {e}"))?;
         write_csv(&view, file).map_err(|e| e.to_string())?;
-        println!("written to {path}");
+        eprintln!("written to {path}");
     } else {
         write_csv(&view, std::io::stdout().lock()).map_err(|e| e.to_string())?;
     }

@@ -37,14 +37,25 @@ fn incognito_run_emits_nested_iteration_check_scan_spans() {
         assert_eq!(it.parent, Some(search.seq), "iteration nests under search");
     }
 
-    // Every check nests under an iteration, and at least one table scan
-    // and one rollup nest under checks — the full chain the acceptance
-    // criterion names.
+    // Every check nests under an iteration — directly when run serially,
+    // or through the `exec.task` that ran it on the pool (`INCOGNITO_THREADS`)
+    // — and at least one table scan and one rollup nest under checks: the
+    // full chain the acceptance criterion names.
     let checks: Vec<_> = records.iter().filter(|r| r.name == "check").collect();
     assert!(!checks.is_empty());
     for c in &checks {
         let parent = find(c.parent.expect("check has a parent"));
-        assert_eq!(parent.name, "iteration", "check nests under iteration");
+        let shape = match parent.name.as_str() {
+            "exec.task" => {
+                let grandparent = find(parent.parent.expect("exec.task has a parent"));
+                ["check", "exec.task", grandparent.name.as_str()].join(" → ")
+            }
+            other => ["check", other].join(" → "),
+        };
+        assert!(
+            shape == "check → iteration" || shape == "check → exec.task → iteration",
+            "check nests under iteration, found {shape}"
+        );
     }
     let mut scans_under_checks = 0;
     let mut rollups_under_checks = 0;
