@@ -64,10 +64,14 @@ impl From<TableError> for CsvError {
 const WRITE_BUF_BYTES: usize = 64 * 1024;
 
 /// `field` as one CSV field: verbatim, or in quotes with inner quotes
-/// doubled when it holds a comma, a quote, `\r` or `\n`.
-fn quoted(field: &str) -> Cow<'_, str> {
+/// doubled when it holds a comma, a quote, `\r` or `\n`. An empty field
+/// that is its record's only one (`alone`) is written `""`: left bare it
+/// would make an empty line, which a reader skips as blank.
+fn quoted(field: &str, alone: bool) -> Cow<'_, str> {
     if field.contains([',', '"', '\r', '\n']) {
         Cow::Owned(format!("\"{}\"", field.replace('"', "\"\"")))
+    } else if alone && field.is_empty() {
+        Cow::Borrowed("\"\"")
     } else {
         Cow::Borrowed(field)
     }
@@ -209,10 +213,11 @@ fn finish_field(cur: &mut String, closed_at: Option<usize>, trim: bool) -> Strin
 /// buffer, handed to `out` with `write_all` whenever it fills.
 pub fn write_csv<W: Write>(table: &Table, mut out: W) -> io::Result<()> {
     let schema = table.schema();
+    let alone = schema.arity() == 1;
     let label_tables: Vec<Vec<Cow<'_, str>>> = schema
         .attributes()
         .iter()
-        .map(|a| a.hierarchy().level(0).labels().iter().map(|l| quoted(l)).collect())
+        .map(|a| a.hierarchy().level(0).labels().iter().map(|l| quoted(l, alone)).collect())
         .collect();
     let columns: Vec<&[ValueId]> = (0..schema.arity()).map(|a| table.column(a)).collect();
     let mut buf = Vec::with_capacity(WRITE_BUF_BYTES);
@@ -221,7 +226,7 @@ pub fn write_csv<W: Write>(table: &Table, mut out: W) -> io::Result<()> {
         if a > 0 {
             buf.push(b',');
         }
-        buf.extend_from_slice(quoted(attr.name()).as_bytes());
+        buf.extend_from_slice(quoted(attr.name(), alone).as_bytes());
     }
     buf.push(b'\n');
     for row in 0..table.num_rows() {
@@ -377,11 +382,14 @@ mod tests {
 
     #[test]
     fn quoting_roundtrip() {
-        assert_eq!(quoted("plain"), "plain");
-        assert_eq!(quoted("a,b"), "\"a,b\"");
-        assert_eq!(quoted("say \"hi\""), "\"say \"\"hi\"\"\"");
-        assert_eq!(quoted("x\r"), "\"x\r\"");
-        assert_eq!(quoted("a\nb"), "\"a\nb\"");
+        assert_eq!(quoted("plain", false), "plain");
+        assert_eq!(quoted("a,b", false), "\"a,b\"");
+        assert_eq!(quoted("say \"hi\"", false), "\"say \"\"hi\"\"\"");
+        assert_eq!(quoted("x\r", false), "\"x\r\"");
+        assert_eq!(quoted("a\nb", false), "\"a\nb\"");
+        assert_eq!(quoted("", false), "");
+        assert_eq!(quoted("", true), "\"\"");
+        assert_eq!(quoted("plain", true), "plain");
         let records: Vec<Record> =
             Records::new(&b"\"a,b\",c,\"say \"\"hi\"\"\"\n"[..]).map(Result::unwrap).collect();
         assert_eq!(
@@ -435,6 +443,27 @@ mod tests {
     fn label_ending_in_carriage_return_roundtrips() {
         let t = label_table(&["x\r", "y"]);
         assert_eq!(written(&t), b"X,Y\n\"x\r\",y\ny,\"x\r\"\n");
+        assert_same_labels(&roundtrip(&t), &t);
+    }
+
+    #[test]
+    fn empty_lone_field_roundtrips() {
+        // One attribute, named "", whose labels include "": both the
+        // header and the empty label are written `""`, not as blank lines.
+        let schema = Schema::new(vec![Attribute::new(
+            "",
+            builders::identity("", &["", "a"]).unwrap(),
+        )])
+        .unwrap();
+        let mut t = Table::empty(schema);
+        for label in ["a", "", "a", ""] {
+            t.push_row(&[label]).unwrap();
+        }
+        assert_eq!(written(&t), b"\"\"\na\n\"\"\na\n\"\"\n");
+        assert_same_labels(&roundtrip(&t), &t);
+        // With a second attribute the empty fields stay bare.
+        let t = label_table(&["", "a"]);
+        assert_eq!(written(&t), b"X,Y\n,a\na,\n");
         assert_same_labels(&roundtrip(&t), &t);
     }
 

@@ -32,7 +32,8 @@ use std::sync::OnceLock;
 use incognito_hierarchy::{LevelNo, ValueId};
 
 use crate::freq::{
-    project_digits, rollup_digits, settled_bytes_bound, Counts, GroupKey, GroupSpec, KeySpace,
+    blocks, project_digits, rollup_digits, settled_bytes_bound, CodeKernel, Counts, GroupKey,
+    GroupSpec, KeySpace, SCAN_BLOCK_ROWS,
 };
 use crate::fxhash::FxBuildHasher;
 use crate::schema::Schema;
@@ -181,20 +182,30 @@ fn encode_record(
     num_partitions: usize,
 ) -> usize {
     use std::hash::BuildHasher;
+    if space.is_packable() {
+        return encode_code(buf, space.pack(digits), count, num_partitions);
+    }
     buf.clear();
-    let hash = if space.is_packable() {
-        let code = space.pack(digits);
-        buf.extend_from_slice(&code.to_le_bytes());
-        FxBuildHasher::default().hash_one(code)
-    } else {
-        for &v in digits {
-            buf.extend_from_slice(&v.to_le_bytes());
-        }
-        FxBuildHasher::default().hash_one(GroupKey::from_slice(digits))
-    };
+    for &v in digits {
+        buf.extend_from_slice(&v.to_le_bytes());
+    }
     buf.extend_from_slice(&count.to_le_bytes());
-    // Range-reduce with the hash's high bits: a lone Fx multiply leaves
-    // the low bits of a code's hash a function of the code's low bits.
+    partition_of(FxBuildHasher::default().hash_one(GroupKey::from_slice(digits)), num_partitions)
+}
+
+/// [`encode_record`] for a group already packed into its `code`.
+fn encode_code(buf: &mut Vec<u8>, code: u64, count: u64, num_partitions: usize) -> usize {
+    use std::hash::BuildHasher;
+    buf.clear();
+    buf.extend_from_slice(&code.to_le_bytes());
+    buf.extend_from_slice(&count.to_le_bytes());
+    partition_of(FxBuildHasher::default().hash_one(code), num_partitions)
+}
+
+/// The partition (of `num_partitions`) of a record whose key hashes to
+/// `hash`. Range-reduces with the hash's high bits: a lone Fx multiply
+/// leaves the low bits of a code's hash a function of the code's low bits.
+fn partition_of(hash: u64, num_partitions: usize) -> usize {
     ((hash as u128 * num_partitions as u128) >> 64) as usize
 }
 
@@ -253,13 +264,25 @@ impl ExternalFrequencySet {
         let write_all = || -> Result<Vec<u64>, ExternalError> {
             let mut writers = PartitionWriters::new(&partitions);
             let mut buf = Vec::new();
-            let mut digits = vec![0 as ValueId; spec.len()];
-            for row in 0..table.num_rows() {
-                for ((d, col), map) in digits.iter_mut().zip(&cols).zip(&maps) {
-                    *d = map[col[row] as usize];
+            let rows = 0..table.num_rows();
+            if space.is_packable() {
+                let kernel = CodeKernel::new(&cols, &maps, &space);
+                let mut codes = [0u64; SCAN_BLOCK_ROWS];
+                for block in blocks(rows) {
+                    for &code in kernel.codes(block, &mut codes) {
+                        let part = encode_code(&mut buf, code, 1, num_partitions);
+                        writers.write(part, &buf)?;
+                    }
                 }
-                let part = encode_record(&mut buf, &space, &digits, 1, num_partitions);
-                writers.write(part, &buf)?;
+            } else {
+                let mut digits = vec![0 as ValueId; spec.len()];
+                for row in rows {
+                    for ((d, col), map) in digits.iter_mut().zip(&cols).zip(&maps) {
+                        *d = map[col[row] as usize];
+                    }
+                    let part = encode_record(&mut buf, &space, &digits, 1, num_partitions);
+                    writers.write(part, &buf)?;
+                }
             }
             writers.finish()
         };
@@ -798,7 +821,7 @@ mod tests {
 
     #[test]
     fn packable_sets_spill_sixteen_bytes_per_record() {
-        let mid = crate::freq::tests::mid_table();
+        let mid = crate::freq::tests::mid_table(5_000);
         let wide = crate::freq::tests::wide_table(300);
         for (t, spec, record) in [
             (&big_table(1_000), GroupSpec::ground(&[0, 1]).unwrap(), 16),
@@ -822,7 +845,7 @@ mod tests {
     /// one too wide to pack, both built and derived.
     #[test]
     fn estimate_bounds_the_upgraded_footprint_in_every_form() {
-        let mid = crate::freq::tests::mid_table();
+        let mid = crate::freq::tests::mid_table(5_000);
         let wide = crate::freq::tests::wide_table(1_500);
         for (t, spec, form) in [
             (&big_table(4_000), GroupSpec::ground(&[0, 1]).unwrap(), "dense"),

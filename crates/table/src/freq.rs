@@ -231,6 +231,14 @@ const DENSE_MAX_SLOTS: u64 = 1 << 16;
 /// Rows sampled from the head of a scan before sizing its hash map.
 const SCAN_SAMPLE_ROWS: usize = 1024;
 
+/// Dense spaces at most this large are scanned into four interleaved
+/// histograms (8 KiB on the stack) that are summed at the end.
+const SPLIT_MAX_SLOTS: usize = 256;
+
+/// Rows per block of the scan kernel: a block's codes (16 KiB) and the
+/// column slices it reads stay in L1 between the kernel's passes.
+pub(crate) const SCAN_BLOCK_ROWS: usize = 2048;
+
 /// Fewest rows worth one shard of a parallel scan.
 const MIN_SHARD_ROWS: usize = 1024;
 
@@ -369,20 +377,72 @@ fn estimate_groups(nrows: usize, seen: usize, sample: usize) -> usize {
     est.min(nrows)
 }
 
-/// Count `rows` by `key` into `m`, pre-sized from a sampled estimate of
-/// the group count instead of growing through rehash storms.
+/// Count `rows` into `m` through `count` (which adds one row range),
+/// pre-sized from the group count of the first [`SCAN_SAMPLE_ROWS`] rows
+/// instead of growing through rehash storms.
 fn count_rows<K: Hash + Eq>(
     m: &mut FxHashMap<K, u64>,
     rows: Range<usize>,
-    key: impl Fn(usize) -> K,
+    mut count: impl FnMut(&mut FxHashMap<K, u64>, Range<usize>),
 ) {
     let sample = rows.start..rows.start + rows.len().min(SCAN_SAMPLE_ROWS);
-    for row in sample.clone() {
-        *m.entry(key(row)).or_insert(0) += 1;
-    }
+    count(m, sample.clone());
     m.reserve(estimate_groups(rows.len(), m.len(), sample.len()).saturating_sub(m.len()));
-    for row in sample.end..rows.end {
-        *m.entry(key(row)).or_insert(0) += 1;
+    count(m, sample.end..rows.end);
+}
+
+/// `rows` cut into consecutive blocks of at most [`SCAN_BLOCK_ROWS`].
+pub(crate) fn blocks(rows: Range<usize>) -> impl Iterator<Item = Range<usize>> {
+    rows.clone().step_by(SCAN_BLOCK_ROWS).map(move |s| s..rows.end.min(s + SCAN_BLOCK_ROWS))
+}
+
+/// The row → code kernel of a packable key space, one column at a time:
+/// each part's column, γ map and stride, without the parts whose level
+/// has a single value. Such a part's digit is always 0, so it adds
+/// nothing to any code, and the other parts keep their strides: codes
+/// are identical to packing every part.
+pub(crate) struct CodeKernel<'a> {
+    terms: Vec<(&'a [ValueId], &'a [ValueId], u64)>,
+}
+
+impl<'a> CodeKernel<'a> {
+    /// The kernel for rows of `cols`, mapped through `maps`, over `space`
+    /// (one column and map per part; the space must be packable).
+    pub(crate) fn new(cols: &[&'a [ValueId]], maps: &[&'a [ValueId]], space: &KeySpace) -> Self {
+        debug_assert!(space.is_packable());
+        let terms = cols
+            .iter()
+            .zip(maps)
+            .zip(space.dims.iter().zip(&space.strides))
+            .filter(|&(_, (&dim, _))| dim > 1)
+            .map(|((&col, &map), (_, &stride))| (col, map, stride))
+            .collect();
+        CodeKernel { terms }
+    }
+
+    /// The codes of `block` (at most [`SCAN_BLOCK_ROWS`] rows), written
+    /// into the head of `buf`: the first part assigns its term, and every
+    /// other part adds its own in a pass of its own.
+    pub(crate) fn codes<'b>(
+        &self,
+        block: Range<usize>,
+        buf: &'b mut [u64; SCAN_BLOCK_ROWS],
+    ) -> &'b [u64] {
+        let out = &mut buf[..block.len()];
+        match self.terms.split_first() {
+            None => out.fill(0),
+            Some((&(col, map, stride), rest)) => {
+                for (c, &v) in out.iter_mut().zip(&col[block.clone()]) {
+                    *c = map[v as usize] as u64 * stride;
+                }
+                for &(col, map, stride) in rest {
+                    for (c, &v) in out.iter_mut().zip(&col[block.clone()]) {
+                        *c += map[v as usize] as u64 * stride;
+                    }
+                }
+            }
+        }
+        out
     }
 }
 
@@ -426,6 +486,7 @@ impl Counts {
 
     /// The kernel tier that fills this form, as named in the
     /// `table.kernel.<tier>.*` counters.
+    #[cfg(test)]
     fn tier(&self) -> &'static str {
         match self {
             Counts::Dense(_) => "dense",
@@ -531,6 +592,35 @@ impl Counts {
     }
 }
 
+/// The trace span and counter names of one kind of derivation, spelled
+/// out so that recording them allocates nothing.
+struct Derivation {
+    span: &'static str,
+    time: &'static str,
+    dense: &'static str,
+    count: &'static str,
+    groups_in: &'static str,
+    groups_out: &'static str,
+}
+
+const ROLLUP: Derivation = Derivation {
+    span: "table.rollup",
+    time: "table.rollup.time",
+    dense: "table.rollup.dense",
+    count: "table.rollup.count",
+    groups_in: "table.rollup.groups_in",
+    groups_out: "table.rollup.groups_out",
+};
+
+const PROJECT: Derivation = Derivation {
+    span: "table.project",
+    time: "table.project.time",
+    dense: "table.project.dense",
+    count: "table.project.count",
+    groups_in: "table.project.groups_in",
+    groups_out: "table.project.groups_out",
+};
+
 /// Digit remapping of a rollup: component `i` goes through `maps[i]`.
 pub(crate) fn rollup_digits<'m>(
     maps: &'m [&'m [ValueId]],
@@ -574,8 +664,9 @@ impl FrequencySet {
     }
 
     /// Aggregate one contiguous row range into `counts`, with the kernel
-    /// its form selects: a flat dense array, a code map, or hashed
-    /// [`GroupKey`]s. All three produce identical counts.
+    /// its form selects: block by block into a flat dense array or a code
+    /// map, or row by row into hashed [`GroupKey`]s. All three produce
+    /// identical counts.
     fn scan_rows(
         cols: &[&[ValueId]],
         maps: &[&[ValueId]],
@@ -583,31 +674,59 @@ impl FrequencySet {
         space: &KeySpace,
         mut counts: Counts,
     ) -> Counts {
-        let code = |row: usize| -> u64 {
-            let mut idx = 0u64;
-            for ((col, map), &stride) in cols.iter().zip(maps).zip(&space.strides) {
-                idx += map[col[row] as usize] as u64 * stride;
-            }
-            idx
-        };
+        let mut buf = [0u64; SCAN_BLOCK_ROWS];
         match &mut counts {
             Counts::Dense(slots) => {
                 incognito_obs::incr("table.scan.dense");
                 incognito_obs::add("table.kernel.dense.slot_bytes", slots.len() as u64 * 8);
-                for row in rows {
-                    slots[code(row) as usize] += 1;
+                let kernel = CodeKernel::new(cols, maps, space);
+                if slots.len() <= SPLIT_MAX_SLOTS {
+                    // Four histograms, one per row of every four: a run of
+                    // one group's rows then increments four different
+                    // slots instead of waiting on one.
+                    let mut split = [[0u64; SPLIT_MAX_SLOTS]; 4];
+                    for block in blocks(rows) {
+                        let mut quads = kernel.codes(block, &mut buf).chunks_exact(4);
+                        for q in &mut quads {
+                            split[0][q[0] as usize] += 1;
+                            split[1][q[1] as usize] += 1;
+                            split[2][q[2] as usize] += 1;
+                            split[3][q[3] as usize] += 1;
+                        }
+                        for &code in quads.remainder() {
+                            split[0][code as usize] += 1;
+                        }
+                    }
+                    for (i, slot) in slots.iter_mut().enumerate() {
+                        *slot += split.iter().map(|h| h[i]).sum::<u64>();
+                    }
+                } else {
+                    for block in blocks(rows) {
+                        for &code in kernel.codes(block, &mut buf) {
+                            slots[code as usize] += 1;
+                        }
+                    }
                 }
             }
             Counts::Codes(m) => {
                 incognito_obs::incr("table.scan.packed");
-                count_rows(m, rows, code);
+                let kernel = CodeKernel::new(cols, maps, space);
+                count_rows(m, rows, |m, rows| {
+                    for block in blocks(rows) {
+                        for &code in kernel.codes(block, &mut buf) {
+                            *m.entry(code).or_insert(0) += 1;
+                        }
+                    }
+                });
             }
-            Counts::Keys(m) => count_rows(m, rows, |row| {
-                let mut key = GroupKey::default();
-                for (col, map) in cols.iter().zip(maps) {
-                    key.push(map[col[row] as usize]);
+            Counts::Keys(m) => count_rows(m, rows, |m, rows| {
+                for row in rows {
+                    let mut key = GroupKey::default();
+                    for (col, map) in cols.iter().zip(maps) {
+                        key.push(map[col[row] as usize]);
+                    }
+                    *m.entry(key).or_insert(0) += 1;
                 }
-                key
             }),
         }
         counts
@@ -657,10 +776,14 @@ impl FrequencySet {
         } else {
             shard(0..nrows)
         };
-        let tier = counts.tier();
+        let (groups, bytes) = match counts {
+            Counts::Dense(_) => ("table.kernel.dense.groups", "table.kernel.dense.bytes"),
+            Counts::Codes(_) => ("table.kernel.packed.groups", "table.kernel.packed.bytes"),
+            Counts::Keys(_) => ("table.kernel.hash.groups", "table.kernel.hash.bytes"),
+        };
         let set = FrequencySet::from_parts(spec.clone(), space, counts, nrows as u64);
-        incognito_obs::add(&format!("table.kernel.{tier}.groups"), set.groups as u64);
-        incognito_obs::add(&format!("table.kernel.{tier}.bytes"), set.resident_bytes());
+        incognito_obs::add(groups, set.groups as u64);
+        incognito_obs::add(bytes, set.resident_bytes());
         tspan.set_arg("groups", set.groups as u64);
         set
     }
@@ -768,29 +891,28 @@ impl FrequencySet {
     }
 
     /// Derive the set of `spec` over `space` by re-aggregating every group
-    /// through `remap` — a rollup or a projection, named `op` in its spans
-    /// and `table.<op>.*` counters.
+    /// through `remap` — a rollup or a projection, whose span and
+    /// `table.<op>.*` counters `op` names.
     fn derive(
         &self,
-        op: &str,
+        op: &Derivation,
         spec: GroupSpec,
         space: KeySpace,
         remap: impl Fn(&[ValueId], &mut [ValueId]),
     ) -> FrequencySet {
-        let _span = incognito_obs::span(&format!("table.{op}.time"));
-        let mut tspan = incognito_obs::trace::span(format!("table.{op}"))
-            .arg("groups_in", self.groups as u64);
+        let _span = incognito_obs::span(op.time);
+        let mut tspan = incognito_obs::trace::span(op.span).arg("groups_in", self.groups as u64);
         // Output groups never outnumber input groups (both only merge).
         let acc = Counts::accumulator(&space, self.groups);
         if let Counts::Dense(slots) = &acc {
-            incognito_obs::incr(&format!("table.{op}.dense"));
+            incognito_obs::incr(op.dense);
             incognito_obs::add("table.kernel.dense.slot_bytes", slots.len() as u64 * 8);
         }
         let counts = self.regroup(acc, &space, remap);
         let out = FrequencySet::from_parts(spec, space, counts, self.total);
-        incognito_obs::incr(&format!("table.{op}.count"));
-        incognito_obs::add(&format!("table.{op}.groups_in"), self.groups as u64);
-        incognito_obs::add(&format!("table.{op}.groups_out"), out.groups as u64);
+        incognito_obs::incr(op.count);
+        incognito_obs::add(op.groups_in, self.groups as u64);
+        incognito_obs::add(op.groups_out, out.groups as u64);
         tspan.set_arg("groups_out", out.groups as u64);
         out
     }
@@ -801,7 +923,7 @@ impl FrequencySet {
     pub fn rollup(&self, schema: &Schema, target: &[LevelNo]) -> Result<FrequencySet, TableError> {
         let (spec, maps) = self.spec.rollup_to(schema, target)?;
         let space = KeySpace::for_spec(schema, &spec);
-        Ok(self.derive("rollup", spec, space, rollup_digits(&maps)))
+        Ok(self.derive(&ROLLUP, spec, space, rollup_digits(&maps)))
     }
 
     /// **Subset Property** (§3): project onto the spec positions in `keep`
@@ -810,7 +932,7 @@ impl FrequencySet {
     /// ones, data-cube style.
     pub fn project(&self, keep: &[usize]) -> Result<FrequencySet, TableError> {
         let spec = self.spec.project(keep)?;
-        Ok(self.derive("project", spec, self.space.project(keep), project_digits(keep)))
+        Ok(self.derive(&PROJECT, spec, self.space.project(keep), project_digits(keep)))
     }
 
     /// Render the groups as label tuples (for display and tests), sorted
@@ -845,8 +967,9 @@ pub(crate) mod tests {
     }
 
     /// Three attributes whose ground space (200 × 2 × 40 = 16,000 codes)
-    /// can hold every form, over 5,000 rows.
-    pub(crate) fn mid_table() -> Table {
+    /// can hold every form, over `rows` rows. Level sizes: `a` 200, 20, 2,
+    /// 1; `b` 2, 1; `c` 40, 4, 1.
+    pub(crate) fn mid_table(rows: u32) -> Table {
         let (a, c) = (digit_labels(200, 3), digit_labels(40, 2));
         let a: Vec<&str> = a.iter().map(String::as_str).collect();
         let c: Vec<&str> = c.iter().map(String::as_str).collect();
@@ -856,7 +979,7 @@ pub(crate) mod tests {
             Attribute::new("c", builders::round_digits("c", &c, 2).unwrap()),
         ])
         .unwrap();
-        let rows = 0..5_000u32;
+        let rows = 0..rows;
         let cols = vec![
             rows.clone().map(|i| (i * 37) % 200).collect(),
             rows.clone().map(|i| (i / 3) % 2).collect(),
@@ -893,9 +1016,14 @@ pub(crate) mod tests {
 
     /// Brute-force frequency set of `spec` over `t`.
     fn brute(t: &Table, spec: &GroupSpec) -> FxHashMap<GroupKey, u64> {
+        brute_rows(t, spec, 0..t.num_rows())
+    }
+
+    /// Brute-force frequency set of `spec` over the `rows` of `t`.
+    fn brute_rows(t: &Table, spec: &GroupSpec, rows: Range<usize>) -> FxHashMap<GroupKey, u64> {
         let schema = t.schema();
         let mut expected: FxHashMap<GroupKey, u64> = FxHashMap::default();
-        for row in 0..t.num_rows() {
+        for row in rows {
             let mut k = GroupKey::default();
             for &(a, l) in spec.parts() {
                 k.push(schema.hierarchy(a).map_to_level(l)[t.column(a)[row] as usize]);
@@ -1277,6 +1405,57 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn blocked_kernel_matches_brute_force_around_single_value_parts() {
+        const B: usize = SCAN_BLOCK_ROWS;
+        let mid = mid_table(3 * B as u32 + 24);
+        let wide = wide_table(3 * B as u32 + 24);
+        // Specs with their single-value positions: first, in the middle,
+        // last, around one other part, every part (each code is 0), and
+        // none. The mid-table spaces are dense on both sides of
+        // SPLIT_MAX_SLOTS; the wide ones (10,000 × 1 × 10,000 codes and
+        // alike) are kept in a code map.
+        type Case<'t> = (&'t Table, Vec<(usize, LevelNo)>, &'static [usize]);
+        let cases: [Case; 10] = [
+            (&mid, vec![(1, 1), (0, 1), (2, 0)], &[0]),
+            (&mid, vec![(1, 1), (2, 2), (0, 1)], &[0, 1]),
+            (&mid, vec![(0, 1), (1, 1), (2, 1)], &[1]),
+            (&mid, vec![(0, 0), (2, 0), (1, 1)], &[2]),
+            (&mid, vec![(2, 2), (0, 1), (1, 1)], &[0, 2]),
+            (&mid, vec![(0, 3), (1, 1), (2, 2)], &[0, 1, 2]),
+            (&mid, vec![(0, 0), (1, 0), (2, 0)], &[]),
+            (&wide, vec![(0, 4), (1, 0), (2, 0)], &[0]),
+            (&wide, vec![(0, 0), (3, 4), (2, 0)], &[1]),
+            (&wide, vec![(4, 1), (1, 0), (2, 4)], &[2]),
+        ];
+        let n = 3 * B + 17;
+        let ranges = [0..0, 0..1, 0..B - 1, 0..B, 0..B + 1, 0..n, 7..n + 7, 5..B + 6];
+        for (t, parts, ones) in cases {
+            let spec = GroupSpec::new(parts).unwrap();
+            let schema = t.schema();
+            let space = KeySpace::for_spec(schema, &spec);
+            let single: Vec<usize> = (0..space.arity()).filter(|&i| space.dims[i] == 1).collect();
+            assert_eq!(single, ones, "{spec:?}");
+            let maps: Vec<&[ValueId]> =
+                spec.parts.iter().map(|&(a, l)| schema.hierarchy(a).map_to_level(l)).collect();
+            let cols: Vec<&[ValueId]> = spec.parts.iter().map(|&(a, _)| t.column(a)).collect();
+            for rows in ranges.clone() {
+                let expected = brute_rows(t, &spec, rows.clone());
+                for acc in forms(&space) {
+                    let tier = acc.tier();
+                    let got = FrequencySet::scan_rows(&cols, &maps, rows.clone(), &space, acc);
+                    assert_eq!(groups_of(&got, &space), expected, "{spec:?} {tier} {rows:?}");
+                }
+            }
+            let expected = brute(t, &spec);
+            for threads in [1, 2, 3] {
+                let set = FrequencySet::scan(t, &spec, threads);
+                assert_eq!(set.iter().collect::<FxHashMap<_, _>>(), expected, "{spec:?} {threads}");
+                assert_eq!(set.total(), t.num_rows() as u64);
+            }
+        }
+    }
+
+    #[test]
     fn rollup_equals_rescan() {
         let t = patients();
         let schema = t.schema().clone();
@@ -1391,7 +1570,7 @@ pub(crate) mod tests {
 
     #[test]
     fn rollup_and_project_agree_with_rescan_in_every_form() {
-        let t = mid_table();
+        let t = mid_table(5_000);
         assert_derivations_agree(
             &t,
             &GroupSpec::ground(&[0, 1, 2]).unwrap(),
@@ -1472,7 +1651,7 @@ pub(crate) mod tests {
                 set.resident_bytes()
             );
         };
-        let mid = mid_table();
+        let mid = mid_table(5_000);
         let wide = wide_table(1_000);
         let empty = Table::empty(patients().schema().clone());
         for t in [&patients(), &mid, &empty] {
