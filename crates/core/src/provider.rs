@@ -320,8 +320,8 @@ mod tests {
         use incognito_data::{adults, AdultsConfig};
         // A ground spec over every attribute keeps the group count near the
         // row count, so the same-level rollup below produces a child whose
-        // estimated in-memory footprint (a code map of ~20,000 groups, about
-        // 0.5 MB) dwarfs the headroom granted.
+        // estimated in-memory footprint (a code run of ~20,000 groups, about
+        // 0.3 MB) exceeds the 256 KiB of headroom granted.
         let t = adults(&AdultsConfig { rows: 20_000, seed: 13 });
         let spec = GroupSpec::ground(&(0..t.schema().arity()).collect::<Vec<_>>()).unwrap();
         let ext = ExternalFrequencySet::build(&t, &spec, 8, &std::env::temp_dir()).unwrap();

@@ -533,7 +533,7 @@ mod tests {
         fn write(&mut self, data: &[u8]) -> io::Result<usize> {
             let n = data.len().min(self.budget - self.bytes);
             if n == 0 && !data.is_empty() {
-                return Err(io::Error::new(io::ErrorKind::Other, "sink full"));
+                return Err(io::Error::other("sink full"));
             }
             self.bytes += n;
             Ok(n)

@@ -8,8 +8,9 @@
 //! the scan hash-partitions `(group key, count)` records to disk
 //! (Grace-hash style), and every query — the k-anonymity predicate, group
 //! counts, suppression tallies — streams one partition at a time, so peak
-//! memory is the largest partition's distinct-group footprint rather than
-//! the whole frequency set. [`ExternalFrequencySet::rollup`] and
+//! memory is the largest partition's footprint (a run of its records, or
+//! dense slots when smaller) rather than the whole frequency set.
+//! [`ExternalFrequencySet::rollup`] and
 //! [`ExternalFrequencySet::project`] derive child sets partition by
 //! partition (the paper's Rollup and Subset properties, §3), so the key
 //! optimizations survive out-of-core instead of falling back to base-table
@@ -32,8 +33,8 @@ use std::sync::OnceLock;
 use incognito_hierarchy::{LevelNo, ValueId};
 
 use crate::freq::{
-    blocks, project_digits, rollup_digits, settled_bytes_bound, CodeKernel, Counts, GroupKey,
-    GroupSpec, KeySpace, SCAN_BLOCK_ROWS,
+    blocks, project_digits, rollup_digits, CodeKernel, Counts, GroupKey, GroupSpec, KeySpace,
+    SCAN_BLOCK_ROWS,
 };
 use crate::fxhash::FxBuildHasher;
 use crate::schema::Schema;
@@ -335,18 +336,22 @@ impl ExternalFrequencySet {
         key + 8
     }
 
-    /// Upper-bound estimate of the heap bytes
-    /// [`ExternalFrequencySet::into_frequency_set`] would occupy. The
-    /// spilled record count bounds the distinct group count from above (a
-    /// built set holds one record per row; a derived set at most one
-    /// record per group per parent partition), and a set of that many
-    /// groups holds at most a map trimmed to its grown capacity — the
-    /// dense form is only kept when smaller. Budget admission checks
-    /// compare this against headroom *before* materializing, so the
-    /// estimate deliberately errs high.
+    /// Number of `(key, count)` records spilled.
+    fn records(&self) -> u64 {
+        self.spilled_bytes() / self.record_len() as u64
+    }
+
+    /// Estimate of the heap bytes
+    /// [`ExternalFrequencySet::into_frequency_set`] would occupy: one run
+    /// pair per spilled record. The record count bounds the distinct
+    /// group count from above (a built set holds one record per row; a
+    /// derived set at most one record per group per parent partition), so
+    /// this is exact when every record is a distinct group kept as a run,
+    /// and otherwise errs high — the dense form is only kept when no
+    /// larger than the run. Budget admission checks compare this against
+    /// headroom *before* materializing.
     pub fn estimated_resident_bytes(&self) -> u64 {
-        let records = self.spilled_bytes() / self.record_len() as u64;
-        settled_bytes_bound(&self.space, records)
+        self.records() * self.space.pair_bytes()
     }
 
     /// Check the partition file's length against the exact byte count the
@@ -366,15 +371,14 @@ impl ExternalFrequencySet {
         Ok(())
     }
 
-    /// Aggregate one partition into an in-memory map (the memory high-water
-    /// mark of every streaming query).
-    fn aggregate_partition(&self, idx: usize) -> Result<Counts, ExternalError> {
+    /// Add every record of partition `idx` to the accumulator `counts`.
+    fn gather_partition(&self, idx: usize, counts: &mut Counts) -> Result<(), ExternalError> {
         self.validate_partition(idx)?;
         let path = &self.partitions[idx];
         let record = self.record_len();
         let n_records = (self.expected[idx] / record as u64) as usize;
         let mut reader = BufReader::new(File::open(path)?);
-        let mut counts = Counts::map_for(&self.space);
+        counts.reserve(n_records);
         let mut buf = vec![0u8; record];
         for _ in 0..n_records {
             reader.read_exact(&mut buf).map_err(|e| {
@@ -387,22 +391,30 @@ impl ExternalFrequencySet {
             })?;
             let (key, count) = buf.split_at(record - 8);
             let count = u64::from_le_bytes(count.try_into().expect("8-byte count"));
-            match &mut counts {
-                Counts::Codes(m) => {
-                    let code = u64::from_le_bytes(key.try_into().expect("8-byte code"));
-                    *m.entry(code).or_insert(0) += count;
-                }
-                Counts::Keys(m) => {
+            let code = || u64::from_le_bytes(key.try_into().expect("8-byte code"));
+            match counts {
+                Counts::Dense(slots) => slots[code() as usize] += count,
+                Counts::Codes(run) => run.push((code(), count)),
+                Counts::Keys(run) => {
                     let mut k = GroupKey::default();
                     for c in key.chunks_exact(4) {
                         k.push(u32::from_le_bytes(c.try_into().expect("4-byte chunk")));
                     }
-                    *m.entry(k).or_insert(0) += count;
+                    run.push((k, count));
                 }
-                Counts::Dense(_) => unreachable!("partitions aggregate into maps"),
             }
         }
-        Ok(counts)
+        Ok(())
+    }
+
+    /// Aggregate one partition, into dense slots when they are no larger
+    /// than a run of its records and into a run otherwise (the memory
+    /// high-water mark of every streaming query).
+    fn aggregate_partition(&self, idx: usize) -> Result<Counts, ExternalError> {
+        let records = self.expected[idx] / self.record_len() as u64;
+        let mut counts = Counts::accumulator(&self.space, records as usize);
+        self.gather_partition(idx, &mut counts)?;
+        Ok(counts.sorted(&self.space))
     }
 
     /// Fold every partition's aggregated group counts through `f`,
@@ -550,12 +562,13 @@ impl ExternalFrequencySet {
     pub fn into_frequency_set(self) -> Result<FrequencySet, ExternalError> {
         let _span = incognito_obs::trace::span("spill.upgrade")
             .arg("partitions", self.partitions.len() as u64);
-        let records = self.spilled_bytes() / self.record_len() as u64;
-        let mut counts = Counts::accumulator(&self.space, records as usize);
+        let records = self.records() as usize;
+        let mut counts = Counts::accumulator(&self.space, records);
+        counts.reserve(records);
         for idx in 0..self.partitions.len() {
-            self.aggregate_partition(idx)?
-                .for_each_group(&self.space, |digits, c| counts.add(&self.space, digits, c));
+            self.gather_partition(idx, &mut counts)?;
         }
+        let counts = counts.sorted(&self.space);
         incognito_obs::gauge_add("table.spill.upgrades", 1);
         Ok(FrequencySet::from_parts(self.spec.clone(), self.space.clone(), counts, self.total))
     }
@@ -839,14 +852,33 @@ mod tests {
         }
     }
 
+    /// A partition aggregates into dense slots when they are no larger
+    /// than a run of its records: a rollup that merges every group into
+    /// one reads one slot per partition, not one pair per record.
+    #[test]
+    fn collapsing_partitions_aggregate_into_dense_slots() {
+        let mid = crate::freq::tests::mid_table(5_000);
+        let spec = GroupSpec::ground(&[0, 1, 2]).unwrap();
+        let ext = ExternalFrequencySet::build(&mid, &spec, 4, &spill_root()).unwrap();
+        let top = ext.rollup(mid.schema(), &[3, 1, 2], &spill_root()).unwrap();
+        // Derivation writes one record per parent group, all to one partition.
+        assert_eq!(top.records(), ext.num_groups().unwrap() as u64);
+        let idx = (0..top.num_partitions()).find(|&i| top.expected[i] > 0).unwrap();
+        assert!(matches!(top.aggregate_partition(idx).unwrap(), Counts::Dense(s) if s.len() == 1));
+        assert_eq!(top.num_groups().unwrap(), 1);
+        assert_eq!(top.min_count().unwrap(), Some(5_000));
+    }
+
     /// Budget admission upgrades a spilled child only when its estimate
     /// fits the headroom, so the estimate must bound what the upgrade
-    /// holds: for a set kept as dense slots, one kept as a code map, and
-    /// one too wide to pack, both built and derived.
+    /// holds: for a set kept as dense slots, one kept as a code run, and
+    /// one too wide to pack, both built and derived. A run upgraded from
+    /// records that are all distinct groups holds exactly the estimate.
     #[test]
     fn estimate_bounds_the_upgraded_footprint_in_every_form() {
         let mid = crate::freq::tests::mid_table(5_000);
         let wide = crate::freq::tests::wide_table(1_500);
+        let mut exact = 0;
         for (t, spec, form) in [
             (&big_table(4_000), GroupSpec::ground(&[0, 1]).unwrap(), "dense"),
             (&mid, GroupSpec::ground(&[0, 1, 2]).unwrap(), "packed"),
@@ -858,7 +890,7 @@ mod tests {
             let in_memory = t.frequency_set(&spec).unwrap();
             assert_eq!(in_memory.form(), form);
             for set in [ext, child] {
-                let estimate = set.estimated_resident_bytes();
+                let (estimate, records) = (set.estimated_resident_bytes(), set.records());
                 let upgraded = set.into_frequency_set().unwrap();
                 assert_eq!(upgraded.form(), form, "upgrades land in the in-memory form");
                 assert_eq!(upgraded.resident_bytes(), in_memory.resident_bytes());
@@ -867,7 +899,17 @@ mod tests {
                     "{form}: estimate {estimate} < resident {}",
                     upgraded.resident_bytes()
                 );
+                if form != "dense" {
+                    crate::freq::tests::assert_is_run(&upgraded, form);
+                    if records == upgraded.num_groups() as u64 {
+                        assert_eq!(estimate, upgraded.resident_bytes(), "{form}");
+                        exact += 1;
+                    }
+                }
             }
         }
+        // The same-level children of both runs, and the wide build (its
+        // 1,500 rows are distinct groups).
+        assert_eq!(exact, 3);
     }
 }

@@ -14,18 +14,21 @@
 //!
 //! A set keeps its groups as mixed-radix `u64` codes over the spec's
 //! `KeySpace` from scan through rollup, projection and spill: a dense
-//! slot vector when that is no larger than a code map for the same groups,
-//! otherwise a code → count map. Only key spaces wider than 64 bits fall
-//! back to a map keyed by [`GroupKey`], which otherwise appears only at the
-//! API edges ([`FrequencySet::count`], [`FrequencySet::iter`]).
+//! slot vector when that is no larger than a run of the same groups,
+//! otherwise a *run* — `(code, count)` pairs in ascending code order with
+//! no repeated code. Only key spaces wider than 64 bits keep a run keyed
+//! by [`GroupKey`] instead; otherwise keys appear only at the API edges
+//! ([`FrequencySet::count`], [`FrequencySet::iter`]). Every run is built
+//! the same way: gather the codes or pairs, sort them (an LSD radix sort
+//! for codes), and merge equal keys in place.
 
+use std::cmp::Ordering;
 use std::hash::{Hash, Hasher};
 use std::ops::Range;
 use std::sync::Arc;
 
 use incognito_hierarchy::{LevelNo, ValueId};
 
-use crate::fxhash::FxHashMap;
 use crate::schema::Schema;
 use crate::table::Table;
 use crate::TableError;
@@ -211,6 +214,22 @@ impl PartialEq for GroupKey {
 
 impl Eq for GroupKey {}
 
+/// Lexicographic over the components: for keys of one space, the order
+/// of their packed codes.
+impl Ord for GroupKey {
+    #[inline]
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.as_slice().cmp(other.as_slice())
+    }
+}
+
+impl PartialOrd for GroupKey {
+    #[inline]
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
 impl Hash for GroupKey {
     #[inline]
     fn hash<H: Hasher>(&self, state: &mut H) {
@@ -223,13 +242,10 @@ impl Hash for GroupKey {
 }
 
 /// Upper bound on dense-accumulator slots: aggregate into a flat
-/// `Vec<u64>` (512 KiB of counts) instead of a hash map whenever the key
+/// `Vec<u64>` (512 KiB of counts) instead of a run whenever the key
 /// space is at most this large. Chosen to stay comfortably inside L2 so
 /// the dense kernel's random writes stay cheap.
 const DENSE_MAX_SLOTS: u64 = 1 << 16;
-
-/// Rows sampled from the head of a scan before sizing its hash map.
-const SCAN_SAMPLE_ROWS: usize = 1024;
 
 /// Dense spaces at most this large are scanned into four interleaved
 /// histograms (8 KiB on the stack) that are summed at the end.
@@ -242,12 +258,15 @@ pub(crate) const SCAN_BLOCK_ROWS: usize = 2048;
 /// Fewest rows worth one shard of a parallel scan.
 const MIN_SHARD_ROWS: usize = 1024;
 
-/// Heap bytes per slot of a code map: a `(u64, u64)` entry plus one
-/// SwissTable control byte.
-const CODE_SLOT_BYTES: u64 = std::mem::size_of::<(u64, u64)>() as u64 + 1;
+/// Bytes per group of a code run: a `(u64, u64)` pair.
+const CODE_PAIR_BYTES: u64 = std::mem::size_of::<(u64, u64)>() as u64;
 
-/// Heap bytes per slot of a [`GroupKey`] map.
-const KEY_SLOT_BYTES: u64 = std::mem::size_of::<(GroupKey, u64)>() as u64 + 1;
+/// Bytes per group of a [`GroupKey`] run.
+const KEY_PAIR_BYTES: u64 = std::mem::size_of::<(GroupKey, u64)>() as u64;
+
+/// Inputs shorter than this are sorted by comparison: below it, a radix
+/// pass's 256-bucket prefix sum costs more than it saves.
+const RADIX_MIN_LEN: usize = 64;
 
 /// Mixed-radix layout over a key space with known per-position
 /// cardinalities: packs a key into a single `u64` code when the product of
@@ -261,7 +280,7 @@ pub(crate) struct KeySpace {
     /// positions after `i` (`strides.last() == 1`).
     strides: Vec<u64>,
     /// Total number of distinct codes, `None` when it overflows `u64`
-    /// (packing impossible; sets fall back to [`GroupKey`] maps).
+    /// (packing impossible; sets fall back to [`GroupKey`] runs).
     slots: Option<u64>,
 }
 
@@ -314,10 +333,24 @@ impl KeySpace {
         self.slots.expect("dense key space") as usize
     }
 
-    /// Whether a dense slot vector for `groups` groups is no larger than a
-    /// code map holding them.
+    /// Whether a dense slot vector is no larger than a run of `groups`
+    /// groups.
     fn dense_fits(&self, groups: usize) -> bool {
-        self.is_dense() && self.len() as u64 * 8 <= map_capacity(groups) as u64 * CODE_SLOT_BYTES
+        self.is_dense() && self.len() as u64 * 8 <= (groups as u64).saturating_mul(CODE_PAIR_BYTES)
+    }
+
+    /// Bytes per group of a run over this space.
+    pub(crate) fn pair_bytes(&self) -> u64 {
+        if self.is_packable() {
+            CODE_PAIR_BYTES
+        } else {
+            KEY_PAIR_BYTES
+        }
+    }
+
+    /// Significant bits of the largest code (packable spaces only).
+    fn code_bits(&self) -> u32 {
+        u64::BITS - self.slots.expect("packable key space").saturating_sub(1).leading_zeros()
     }
 
     /// Pack in-domain digits into their code (packable spaces only).
@@ -342,53 +375,6 @@ impl KeySpace {
         self.decode(code, &mut key.vals[..self.arity()]);
         key
     }
-}
-
-/// Slots of a SwissTable map grown to hold `n` entries: power-of-two
-/// buckets at a 7/8 load factor (tables under 8 buckets keep one free).
-/// The frequency-set maps are trimmed to exactly this after aggregation,
-/// so it is also what a settled map of `n` groups holds.
-pub(crate) fn map_capacity(n: usize) -> usize {
-    match n {
-        0 => 0,
-        1..=3 => 3,
-        4..=7 => 7,
-        _ => (n * 8 / 7).next_power_of_two() / 8 * 7,
-    }
-}
-
-/// Heap bytes a settled set of `groups` groups over `space` holds at most:
-/// a map's footprint, which the dense form never exceeds.
-pub(crate) fn settled_bytes_bound(space: &KeySpace, groups: u64) -> u64 {
-    let slot = if space.is_packable() { CODE_SLOT_BYTES } else { KEY_SLOT_BYTES };
-    map_capacity(groups.min(usize::MAX as u64) as usize) as u64 * slot
-}
-
-/// Estimate the number of distinct groups in `nrows` rows given that the
-/// first `sample` rows held `seen` distinct groups. When the sample is
-/// already saturated (few distinct values) the group count has plateaued,
-/// so a small headroom factor suffices; otherwise extrapolate linearly.
-/// Only a sizing hint — correctness never depends on it.
-fn estimate_groups(nrows: usize, seen: usize, sample: usize) -> usize {
-    if sample == 0 || seen == 0 {
-        return 0;
-    }
-    let est = if seen * 4 <= sample { seen * 2 } else { seen * (nrows / sample).max(1) };
-    est.min(nrows)
-}
-
-/// Count `rows` into `m` through `count` (which adds one row range),
-/// pre-sized from the group count of the first [`SCAN_SAMPLE_ROWS`] rows
-/// instead of growing through rehash storms.
-fn count_rows<K: Hash + Eq>(
-    m: &mut FxHashMap<K, u64>,
-    rows: Range<usize>,
-    mut count: impl FnMut(&mut FxHashMap<K, u64>, Range<usize>),
-) {
-    let sample = rows.start..rows.start + rows.len().min(SCAN_SAMPLE_ROWS);
-    count(m, sample.clone());
-    m.reserve(estimate_groups(rows.len(), m.len(), sample.len()).saturating_sub(m.len()));
-    count(m, sample.end..rows.end);
 }
 
 /// `rows` cut into consecutive blocks of at most [`SCAN_BLOCK_ROWS`].
@@ -446,41 +432,114 @@ impl<'a> CodeKernel<'a> {
     }
 }
 
-/// Trim a map to the capacity it would have grown to for its entries.
-fn trim<K: Hash + Eq>(map: &mut FxHashMap<K, u64>) {
-    if map.capacity() > map_capacity(map.len()) {
-        map.shrink_to_fit();
+/// Sort `v` by `key`, whose values fit in the low `bits` bits: an LSD
+/// radix sort, one byte of the key per pass, that skips every pass whose
+/// byte is the same for all of `v`. Inputs shorter than
+/// [`RADIX_MIN_LEN`] are sorted by comparison.
+fn radix_sort<T: Copy>(v: &mut Vec<T>, bits: u32, key: impl Fn(&T) -> u64) {
+    if v.len() < RADIX_MIN_LEN {
+        v.sort_unstable_by_key(|x| key(x));
+        return;
+    }
+    // One read pass counts every pass's digits.
+    let mut hist = vec![[0usize; 256]; bits.div_ceil(8) as usize];
+    for x in v.iter() {
+        let k = key(x);
+        for (d, h) in hist.iter_mut().enumerate() {
+            h[(k >> (8 * d)) as u8 as usize] += 1;
+        }
+    }
+    let first = key(&v[0]);
+    let mut scratch: Vec<T> = Vec::new();
+    for (d, h) in hist.iter().enumerate() {
+        let shift = 8 * d;
+        if h[(first >> shift) as u8 as usize] == v.len() {
+            continue;
+        }
+        let mut next = [0usize; 256];
+        let mut sum = 0;
+        for (n, &c) in next.iter_mut().zip(h) {
+            *n = sum;
+            sum += c;
+        }
+        if scratch.is_empty() {
+            scratch = v.clone();
+        }
+        for x in v.iter() {
+            let b = (key(x) >> shift) as u8 as usize;
+            scratch[next[b]] = *x;
+            next[b] += 1;
+        }
+        std::mem::swap(v, &mut scratch);
     }
 }
 
+/// Merge the adjacent pairs of key-sorted `pairs` that share a key,
+/// summing their counts, and release the slack: the pairs become a run.
+fn merge_equal<K: PartialEq>(pairs: &mut Vec<(K, u64)>) {
+    pairs.dedup_by(|next, kept| {
+        let same = next.0 == kept.0;
+        if same {
+            kept.1 += next.1;
+        }
+        same
+    });
+    pairs.shrink_to_fit();
+}
+
+/// The run of sorted `keys`, each distinct key with its number of
+/// occurrences, allocated for exactly its groups.
+fn run_of_sorted<K: PartialEq + Copy>(keys: &[K]) -> Vec<(K, u64)> {
+    let groups = keys.windows(2).filter(|w| w[0] != w[1]).count() + usize::from(!keys.is_empty());
+    let mut run: Vec<(K, u64)> = Vec::with_capacity(groups);
+    for &k in keys {
+        match run.last_mut() {
+            Some((last, c)) if *last == k => *c += 1,
+            _ => run.push((k, 1)),
+        }
+    }
+    run
+}
+
+/// The count of `key` in `run`, 0 if absent.
+fn run_count<K: Ord>(run: &[(K, u64)], key: &K) -> u64 {
+    run.binary_search_by(|(k, _)| k.cmp(key)).map_or(0, |i| run[i].1)
+}
+
 /// The counts of a frequency set, keyed by group over a [`KeySpace`].
+///
+/// A set holds its runs sorted by key with no key repeated. An
+/// accumulator's runs gather pairs in any order, with repeats, until
+/// [`Counts::sorted`] turns them into runs.
 #[derive(Debug, Clone)]
 pub(crate) enum Counts {
     /// One slot per code of a dense space; a zero slot is an absent group.
     Dense(Vec<u64>),
-    /// Code → count.
-    Codes(FxHashMap<u64, u64>),
-    /// Key → count, for spaces too wide to pack.
-    Keys(FxHashMap<GroupKey, u64>),
+    /// `(code, count)` pairs.
+    Codes(Vec<(u64, u64)>),
+    /// `(key, count)` pairs, for spaces too wide to pack.
+    Keys(Vec<(GroupKey, u64)>),
 }
 
 impl Counts {
     /// An empty accumulator for at most `bound` groups over `space`: dense
-    /// slots when even `bound` groups would not make a smaller code map.
+    /// slots when even `bound` groups would not make a smaller run.
     pub(crate) fn accumulator(space: &KeySpace, bound: usize) -> Counts {
         if space.dense_fits(bound) {
             Counts::Dense(vec![0; space.len()])
+        } else if space.is_packable() {
+            Counts::Codes(Vec::new())
         } else {
-            Counts::map_for(space)
+            Counts::Keys(Vec::new())
         }
     }
 
-    /// An empty map accumulator over `space`.
-    pub(crate) fn map_for(space: &KeySpace) -> Counts {
-        if space.is_packable() {
-            Counts::Codes(FxHashMap::default())
-        } else {
-            Counts::Keys(FxHashMap::default())
+    /// Make room in a run accumulator for `pairs` more pairs.
+    pub(crate) fn reserve(&mut self, pairs: usize) {
+        match self {
+            Counts::Dense(_) => {}
+            Counts::Codes(run) => run.reserve_exact(pairs),
+            Counts::Keys(run) => run.reserve_exact(pairs),
         }
     }
 
@@ -500,28 +559,41 @@ impl Counts {
     pub(crate) fn add(&mut self, space: &KeySpace, digits: &[ValueId], c: u64) {
         match self {
             Counts::Dense(slots) => slots[space.pack(digits) as usize] += c,
-            Counts::Codes(m) => *m.entry(space.pack(digits)).or_insert(0) += c,
-            Counts::Keys(m) => *m.entry(GroupKey::from_slice(digits)).or_insert(0) += c,
+            Counts::Codes(run) => run.push((space.pack(digits), c)),
+            Counts::Keys(run) => run.push((GroupKey::from_slice(digits), c)),
         }
     }
 
     /// Fold `other`, an accumulator of the same form, into this one.
-    pub(crate) fn absorb(&mut self, other: Counts) {
-        fn absorb_map<K: Hash + Eq>(into: &mut FxHashMap<K, u64>, from: FxHashMap<K, u64>) {
-            into.reserve(from.len());
-            for (k, c) in from {
-                *into.entry(k).or_insert(0) += c;
-            }
-        }
+    fn absorb(&mut self, other: Counts) {
         match (self, other) {
             (Counts::Dense(a), Counts::Dense(b)) => a.iter_mut().zip(b).for_each(|(x, y)| *x += y),
-            (Counts::Codes(a), Counts::Codes(b)) => absorb_map(a, b),
-            (Counts::Keys(a), Counts::Keys(b)) => absorb_map(a, b),
+            (Counts::Codes(a), Counts::Codes(b)) => a.extend(b),
+            (Counts::Keys(a), Counts::Keys(b)) => a.extend(b),
             _ => unreachable!("accumulators over one key space share a form"),
         }
     }
 
-    /// Visit every group as its digits over `space` and its count.
+    /// This accumulator with its pairs sorted by key and equal keys
+    /// merged: codes by [`radix_sort`] over `space`'s code width, keys by
+    /// comparison.
+    pub(crate) fn sorted(mut self, space: &KeySpace) -> Counts {
+        match &mut self {
+            Counts::Dense(_) => {}
+            Counts::Codes(run) => {
+                radix_sort(run, space.code_bits(), |&(code, _)| code);
+                merge_equal(run);
+            }
+            Counts::Keys(run) => {
+                run.sort_unstable_by_key(|&(key, _)| key);
+                merge_equal(run);
+            }
+        }
+        self
+    }
+
+    /// Visit every group as its digits over `space` and its count, in
+    /// ascending key order.
     pub(crate) fn for_each_group(&self, space: &KeySpace, mut f: impl FnMut(&[ValueId], u64)) {
         let mut buf = [0 as ValueId; MAX_KEY_ATTRS];
         let digits = &mut buf[..space.arity()];
@@ -535,15 +607,14 @@ impl Counts {
                     visit(code as u64, c);
                 }
             }
-            Counts::Codes(m) => m.iter().for_each(|(&code, &c)| visit(code, c)),
-            Counts::Keys(m) => m.iter().for_each(|(key, &c)| f(key.as_slice(), c)),
+            Counts::Codes(run) => run.iter().for_each(|&(code, c)| visit(code, c)),
+            Counts::Keys(run) => run.iter().for_each(|(key, c)| f(key.as_slice(), *c)),
         }
     }
 
-    /// The form this accumulator is kept in once complete, with its group
-    /// count: dense slots only while no larger than a code map of the same
-    /// groups (which a dense accumulator is whenever that holds), maps
-    /// trimmed to their grown capacity.
+    /// The form these complete counts are kept in, with their group
+    /// count: dense slots only while no larger than a run of the same
+    /// groups, a run as it is.
     fn settle(self, space: &KeySpace) -> (Counts, usize) {
         match self {
             Counts::Dense(slots) => {
@@ -551,43 +622,39 @@ impl Counts {
                 if space.dense_fits(groups) {
                     return (Counts::Dense(slots), groups);
                 }
-                let mut m = FxHashMap::with_capacity_and_hasher(groups, Default::default());
-                m.extend(
+                let mut run = Vec::with_capacity(groups);
+                run.extend(
                     slots.iter().enumerate().filter(|(_, &c)| c != 0).map(|(i, &c)| (i as u64, c)),
                 );
-                (Counts::Codes(m), groups)
+                (Counts::Codes(run), groups)
             }
-            Counts::Codes(mut m) => {
-                trim(&mut m);
-                let groups = m.len();
-                (Counts::Codes(m), groups)
+            Counts::Codes(run) => {
+                let groups = run.len();
+                (Counts::Codes(run), groups)
             }
-            Counts::Keys(mut m) => {
-                trim(&mut m);
-                let groups = m.len();
-                (Counts::Keys(m), groups)
+            Counts::Keys(run) => {
+                let groups = run.len();
+                (Counts::Keys(run), groups)
             }
         }
     }
 
-    /// Estimated heap footprint: slot-vector length, or map capacity ×
-    /// bucket size plus one control byte per slot (SwissTable layout). The
-    /// point is comparability across forms and cache snapshots, not
-    /// byte-exact accounting (the tracking allocator owns that).
+    /// Heap footprint: 8 bytes per dense slot, or the pair size per
+    /// allocated pair of a run — exactly its groups once settled.
     fn resident_bytes(&self) -> u64 {
         match self {
             Counts::Dense(slots) => slots.len() as u64 * 8,
-            Counts::Codes(m) => m.capacity() as u64 * CODE_SLOT_BYTES,
-            Counts::Keys(m) => m.capacity() as u64 * KEY_SLOT_BYTES,
+            Counts::Codes(run) => run.capacity() as u64 * CODE_PAIR_BYTES,
+            Counts::Keys(run) => run.capacity() as u64 * KEY_PAIR_BYTES,
         }
     }
 
-    /// Every group's count, in arbitrary order.
+    /// Every group's count, in key order.
     pub(crate) fn values(&self) -> Box<dyn Iterator<Item = u64> + '_> {
         match self {
             Counts::Dense(slots) => Box::new(slots.iter().copied().filter(|&c| c != 0)),
-            Counts::Codes(m) => Box::new(m.values().copied()),
-            Counts::Keys(m) => Box::new(m.values().copied()),
+            Counts::Codes(run) => Box::new(run.iter().map(|&(_, c)| c)),
+            Counts::Keys(run) => Box::new(run.iter().map(|&(_, c)| c)),
         }
     }
 }
@@ -652,7 +719,8 @@ pub struct FrequencySet {
 }
 
 impl FrequencySet {
-    /// Assemble a set from an accumulator, settling it into its kept form.
+    /// Assemble a set from complete counts (runs already sorted),
+    /// settling them into their kept form.
     pub(crate) fn from_parts(
         spec: GroupSpec,
         space: KeySpace,
@@ -663,10 +731,11 @@ impl FrequencySet {
         FrequencySet { spec, space, counts, groups, total }
     }
 
-    /// Aggregate one contiguous row range into `counts`, with the kernel
-    /// its form selects: block by block into a flat dense array or a code
-    /// map, or row by row into hashed [`GroupKey`]s. All three produce
-    /// identical counts.
+    /// Aggregate one contiguous row range into the empty accumulator
+    /// `counts`, with the kernel its form selects: block by block into a
+    /// flat dense array or into codes that are sorted and counted into a
+    /// run, or row by row into [`GroupKey`]s sorted the same way. All
+    /// three produce identical counts.
     fn scan_rows(
         cols: &[&[ValueId]],
         maps: &[&[ValueId]],
@@ -708,26 +777,29 @@ impl FrequencySet {
                     }
                 }
             }
-            Counts::Codes(m) => {
+            Counts::Codes(run) => {
                 incognito_obs::incr("table.scan.packed");
                 let kernel = CodeKernel::new(cols, maps, space);
-                count_rows(m, rows, |m, rows| {
-                    for block in blocks(rows) {
-                        for &code in kernel.codes(block, &mut buf) {
-                            *m.entry(code).or_insert(0) += 1;
-                        }
-                    }
-                });
-            }
-            Counts::Keys(m) => count_rows(m, rows, |m, rows| {
-                for row in rows {
-                    let mut key = GroupKey::default();
-                    for (col, map) in cols.iter().zip(maps) {
-                        key.push(map[col[row] as usize]);
-                    }
-                    *m.entry(key).or_insert(0) += 1;
+                let mut codes = Vec::with_capacity(rows.len());
+                for block in blocks(rows) {
+                    codes.extend_from_slice(kernel.codes(block, &mut buf));
                 }
-            }),
+                radix_sort(&mut codes, space.code_bits(), |&code| code);
+                *run = run_of_sorted(&codes);
+            }
+            Counts::Keys(run) => {
+                let mut keys: Vec<GroupKey> = rows
+                    .map(|row| {
+                        let mut key = GroupKey::default();
+                        for (col, map) in cols.iter().zip(maps) {
+                            key.push(map[col[row] as usize]);
+                        }
+                        key
+                    })
+                    .collect();
+                keys.sort_unstable();
+                *run = run_of_sorted(&keys);
+            }
         }
         counts
     }
@@ -735,7 +807,8 @@ impl FrequencySet {
     /// Compute by scanning `table` (the spec must already be validated)
     /// in up to `threads` row shards on the shared executor: each shard
     /// aggregates its rows into its own accumulator, and the shards merge
-    /// — dense ones by element-wise add, maps into the largest. Exactly
+    /// — dense ones by element-wise add, runs by re-sorting their
+    /// concatenation. Exactly
     /// equivalent to a serial scan (counts are associative); worthwhile
     /// once the table is large enough that the scan dominates the merge
     /// (hundreds of thousands of rows).
@@ -772,7 +845,7 @@ impl FrequencySet {
             for part in parts {
                 counts.absorb(part);
             }
-            counts
+            counts.sorted(&space)
         } else {
             shard(0..nrows)
         };
@@ -827,8 +900,8 @@ impl FrequencySet {
         }
         match &self.counts {
             Counts::Dense(slots) => slots[self.space.pack(digits) as usize],
-            Counts::Codes(m) => m.get(&self.space.pack(digits)).copied().unwrap_or(0),
-            Counts::Keys(m) => m.get(key).copied().unwrap_or(0),
+            Counts::Codes(run) => run_count(run, &self.space.pack(digits)),
+            Counts::Keys(run) => run_count(run, key),
         }
     }
 
@@ -837,7 +910,7 @@ impl FrequencySet {
         self.counts.values().min()
     }
 
-    /// Iterate `(key, count)` pairs in arbitrary order.
+    /// Iterate `(key, count)` pairs in ascending key order.
     pub fn iter(&self) -> impl Iterator<Item = (GroupKey, u64)> + '_ {
         let space = &self.space;
         let groups: Box<dyn Iterator<Item = (GroupKey, u64)>> = match &self.counts {
@@ -848,8 +921,8 @@ impl FrequencySet {
                     .filter(|(_, &c)| c != 0)
                     .map(|(code, &c)| (space.unpack(code as u64), c)),
             ),
-            Counts::Codes(m) => Box::new(m.iter().map(|(&code, &c)| (space.unpack(code), c))),
-            Counts::Keys(m) => Box::new(m.iter().map(|(key, &c)| (*key, c))),
+            Counts::Codes(run) => Box::new(run.iter().map(|&(code, c)| (space.unpack(code), c))),
+            Counts::Keys(run) => Box::new(run.iter().copied()),
         };
         groups
     }
@@ -874,20 +947,22 @@ impl FrequencySet {
     }
 
     /// Re-aggregate every group through `remap` (this set's digits → the
-    /// digits of `space`) into `acc`.
+    /// digits of `space`) into the empty accumulator `acc`: one pair per
+    /// group, then sorted.
     fn regroup(
         &self,
         mut acc: Counts,
         space: &KeySpace,
         remap: impl Fn(&[ValueId], &mut [ValueId]),
     ) -> Counts {
+        acc.reserve(self.groups);
         let mut buf = [0 as ValueId; MAX_KEY_ATTRS];
         let out = &mut buf[..space.arity()];
         self.counts.for_each_group(&self.space, |digits, c| {
             remap(digits, out);
             acc.add(space, out, c);
         });
-        acc
+        acc.sorted(space)
     }
 
     /// Derive the set of `spec` over `space` by re-aggregating every group
@@ -960,6 +1035,7 @@ pub(crate) mod tests {
     use super::*;
     use crate::schema::{Attribute, Schema};
     use incognito_hierarchy::builders;
+    use std::collections::BTreeMap;
 
     /// Zero-padded decimal labels `0..n`, `width` digits wide.
     fn digit_labels(n: u32, width: usize) -> Vec<String> {
@@ -1015,14 +1091,14 @@ pub(crate) mod tests {
     }
 
     /// Brute-force frequency set of `spec` over `t`.
-    fn brute(t: &Table, spec: &GroupSpec) -> FxHashMap<GroupKey, u64> {
+    fn brute(t: &Table, spec: &GroupSpec) -> BTreeMap<GroupKey, u64> {
         brute_rows(t, spec, 0..t.num_rows())
     }
 
     /// Brute-force frequency set of `spec` over the `rows` of `t`.
-    fn brute_rows(t: &Table, spec: &GroupSpec, rows: Range<usize>) -> FxHashMap<GroupKey, u64> {
+    fn brute_rows(t: &Table, spec: &GroupSpec, rows: Range<usize>) -> BTreeMap<GroupKey, u64> {
         let schema = t.schema();
-        let mut expected: FxHashMap<GroupKey, u64> = FxHashMap::default();
+        let mut expected: BTreeMap<GroupKey, u64> = BTreeMap::new();
         for row in rows {
             let mut k = GroupKey::default();
             for &(a, l) in spec.parts() {
@@ -1035,9 +1111,9 @@ pub(crate) mod tests {
 
     /// Empty accumulators of every form `space` can hold.
     fn forms(space: &KeySpace) -> Vec<Counts> {
-        let mut forms = vec![Counts::Keys(FxHashMap::default())];
+        let mut forms = vec![Counts::Keys(Vec::new())];
         if space.is_packable() {
-            forms.push(Counts::Codes(FxHashMap::default()));
+            forms.push(Counts::Codes(Vec::new()));
         }
         if space.is_dense() {
             forms.push(Counts::Dense(vec![0; space.len()]));
@@ -1046,8 +1122,8 @@ pub(crate) mod tests {
     }
 
     /// The groups of `counts` over `space`, keyed for comparison.
-    fn groups_of(counts: &Counts, space: &KeySpace) -> FxHashMap<GroupKey, u64> {
-        let mut out = FxHashMap::default();
+    fn groups_of(counts: &Counts, space: &KeySpace) -> BTreeMap<GroupKey, u64> {
+        let mut out = BTreeMap::new();
         counts.for_each_group(space, |digits, c| {
             assert!(out.insert(GroupKey::from_slice(digits), c).is_none(), "group listed twice");
         });
@@ -1057,7 +1133,7 @@ pub(crate) mod tests {
     /// `set`'s groups held in the form of the empty accumulator `acc`.
     fn in_form(set: &FrequencySet, mut acc: Counts) -> FrequencySet {
         set.counts.for_each_group(&set.space, |digits, c| acc.add(&set.space, digits, c));
-        FrequencySet { counts: acc, ..set.clone() }
+        FrequencySet { counts: acc.sorted(&set.space), ..set.clone() }
     }
 
     fn patients() -> Table {
@@ -1186,7 +1262,7 @@ pub(crate) mod tests {
         // The public path picks whichever form the real space selects.
         let via_table = t.frequency_set(spec).unwrap();
         assert_eq!(via_table.num_groups(), expected.len());
-        assert_eq!(via_table.iter().collect::<FxHashMap<_, _>>(), expected);
+        assert_eq!(via_table.iter().collect::<BTreeMap<_, _>>(), expected);
         expected.len()
     }
 
@@ -1281,20 +1357,9 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn group_estimate_is_sane() {
-        assert_eq!(estimate_groups(10_000, 0, 0), 0); // empty sample
-        assert_eq!(estimate_groups(10_000, 0, 100), 0);
-        // Saturated sample: 10 groups in 1024 rows → plateau, small headroom.
-        assert_eq!(estimate_groups(100_000, 10, 1024), 20);
-        // Every sampled row distinct → extrapolate linearly, capped at rows.
-        assert_eq!(estimate_groups(10_000, 1_000, 1_000), 10_000);
-        assert!(estimate_groups(2_000, 1_024, 1_024) <= 2_000);
-    }
-
-    #[test]
     fn packed_scan_equals_dense_scan() {
         // A domain big enough (300^2 = 90,000 slots) to force the
-        // packed-u64 hash kernel rather than the dense kernel, compared
+        // packed code-run kernel rather than the dense kernel, compared
         // against a 2-attribute projection of itself and a direct scan.
         let labels: Vec<String> = (0..300).map(|i| format!("v{i}")).collect();
         let label_refs: Vec<&str> = labels.iter().map(String::as_str).collect();
@@ -1383,8 +1448,8 @@ pub(crate) mod tests {
             for threads in [1usize, 2, 3, 8] {
                 let par = t.frequency_set_parallel(&spec, threads).unwrap();
                 assert_eq!(
-                    par.iter().collect::<FxHashMap<_, _>>(),
-                    serial.iter().collect::<FxHashMap<_, _>>(),
+                    par.iter().collect::<BTreeMap<_, _>>(),
+                    serial.iter().collect::<BTreeMap<_, _>>(),
                     "threads={threads}"
                 );
                 assert_eq!(par.total(), serial.total());
@@ -1413,7 +1478,7 @@ pub(crate) mod tests {
         // last, around one other part, every part (each code is 0), and
         // none. The mid-table spaces are dense on both sides of
         // SPLIT_MAX_SLOTS; the wide ones (10,000 × 1 × 10,000 codes and
-        // alike) are kept in a code map.
+        // alike) are kept as a code run.
         type Case<'t> = (&'t Table, Vec<(usize, LevelNo)>, &'static [usize]);
         let cases: [Case; 10] = [
             (&mid, vec![(1, 1), (0, 1), (2, 0)], &[0]),
@@ -1449,7 +1514,7 @@ pub(crate) mod tests {
             let expected = brute(t, &spec);
             for threads in [1, 2, 3] {
                 let set = FrequencySet::scan(t, &spec, threads);
-                assert_eq!(set.iter().collect::<FxHashMap<_, _>>(), expected, "{spec:?} {threads}");
+                assert_eq!(set.iter().collect::<BTreeMap<_, _>>(), expected, "{spec:?} {threads}");
                 assert_eq!(set.total(), t.num_rows() as u64);
             }
         }
@@ -1593,7 +1658,7 @@ pub(crate) mod tests {
         let wide = t.frequency_set(&spec).unwrap();
         assert!(!wide.space.is_packable());
         assert!(matches!(wide.counts, Counts::Keys(_)));
-        // Targets: still too wide; just packable (10^19 codes); a code map;
+        // Targets: still too wide; just packable (10^19 codes); a code run;
         // a space small enough for dense slots.
         let targets =
             [vec![0, 0, 0, 0, 0], vec![0, 0, 0, 0, 1], vec![1, 1, 1, 1, 1], vec![3, 3, 3, 4, 4]];
@@ -1638,18 +1703,21 @@ pub(crate) mod tests {
 
     #[test]
     fn resident_bytes_never_exceed_the_group_key_map() {
-        // A `GroupKey` → count map costs one `(GroupKey, u64)` slot plus a
-        // control byte per group. Packable sets must fit in that; sets too
-        // wide to pack are that map, trimmed to its grown capacity.
+        // A run holds exactly one pair per group: a `(u64, u64)` with a
+        // packed code, a `(GroupKey, u64)` otherwise. Dense slots are kept
+        // only while no larger than the code run, so no set exceeds the
+        // `GroupKey` run of its groups.
         let check = |set: &FrequencySet| {
-            let groups = set.num_groups();
-            let bound = if set.space.is_packable() { groups } else { map_capacity(groups) };
-            assert!(
-                set.resident_bytes() <= bound as u64 * KEY_SLOT_BYTES,
-                "{:?}: {} bytes for {groups} groups",
-                set.spec(),
-                set.resident_bytes()
-            );
+            let groups = set.num_groups() as u64;
+            let bytes = set.resident_bytes();
+            let label =
+                format!("{:?} {}: {bytes} bytes for {groups} groups", set.spec(), set.form());
+            match set.counts {
+                Counts::Dense(_) => assert!(bytes <= groups * CODE_PAIR_BYTES, "{label}"),
+                Counts::Codes(_) => assert_eq!(bytes, groups * CODE_PAIR_BYTES, "{label}"),
+                Counts::Keys(_) => assert_eq!(bytes, groups * KEY_PAIR_BYTES, "{label}"),
+            }
+            assert!(bytes <= groups * KEY_PAIR_BYTES, "{label}");
         };
         let mid = mid_table(5_000);
         let wide = wide_table(1_000);
@@ -1678,5 +1746,184 @@ pub(crate) mod tests {
         check(&set);
         check(&set.rollup(wide.schema(), &[1, 1, 1, 1, 1]).unwrap());
         check(&set.project(&[0, 1]).unwrap());
+    }
+
+    /// Assert that `set` keeps a run (of the form `form`) whose keys
+    /// strictly increase and whose positive counts sum to `total()`.
+    pub(crate) fn assert_is_run(set: &FrequencySet, form: &str) {
+        fn check<K: Ord + std::fmt::Debug>(run: &[(K, u64)], total: u64, label: &str) {
+            assert!(run.windows(2).all(|w| w[0].0 < w[1].0), "{label}: keys not increasing");
+            assert!(run.iter().all(|&(_, c)| c > 0), "{label}: a zero count");
+            assert_eq!(run.iter().map(|&(_, c)| c).sum::<u64>(), total, "{label}: total");
+        }
+        let label = format!("{:?}", set.spec());
+        assert_eq!(set.form(), form, "{label}");
+        match &set.counts {
+            Counts::Codes(run) => check(run, set.total(), &label),
+            Counts::Keys(run) => check(run, set.total(), &label),
+            Counts::Dense(_) => unreachable!(),
+        }
+        assert_eq!(set.num_groups(), set.iter().count(), "{label}");
+    }
+
+    /// SplitMix64 of `x`: well-spread pseudo-random test keys.
+    fn mix(x: u64) -> u64 {
+        let mut x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        x ^ (x >> 31)
+    }
+
+    #[test]
+    fn radix_sort_matches_sort_unstable() {
+        let lens = [0, 1, 2, RADIX_MIN_LEN - 1, RADIX_MIN_LEN, RADIX_MIN_LEN + 1, 1_000, 5_003];
+        // Key shapes, each with its bit width: full 64-bit keys; keys whose
+        // low, middle or high bytes are all equal (those passes skip);
+        // few distinct keys; one byte of entropy.
+        type Shape = (&'static str, u32, fn(u64) -> u64);
+        let shapes: [Shape; 6] = [
+            ("full", 64, |i| mix(i)),
+            ("low bytes shared", 64, |i| mix(i) << 16 | 0xab),
+            ("middle bytes shared", 40, |i| (mix(i) & 0xff_0000_00ff) | 0x00_abcd_ef00),
+            ("narrow", 20, |i| mix(i) >> 44),
+            ("repeats", 12, |i| mix(i % 7) >> 52),
+            ("one byte", 8, |i| mix(i) >> 56),
+        ];
+        for len in lens {
+            for (name, bits, key) in shapes {
+                let random: Vec<u64> = (0..len as u64).map(key).collect();
+                let mut sorted = random.clone();
+                sorted.sort_unstable();
+                let reversed: Vec<u64> = sorted.iter().rev().copied().collect();
+                let equal = vec![key(3); len];
+                for input in [random, sorted, reversed, equal] {
+                    let mut expected = input.clone();
+                    expected.sort_unstable();
+                    let mut got = input.clone();
+                    radix_sort(&mut got, bits, |&k| k);
+                    assert_eq!(got, expected, "{name}, {len} keys");
+                    // Pairs sort by their key alone and keep every pair.
+                    let pairs: Vec<(u64, u64)> = input.iter().map(|&k| (k, mix(k) & 7)).collect();
+                    let mut got = pairs.clone();
+                    radix_sort(&mut got, bits, |&(k, _)| k);
+                    assert!(got.windows(2).all(|w| w[0].0 <= w[1].0), "{name}, {len} pairs");
+                    let (mut a, mut b) = (got, pairs);
+                    a.sort_unstable();
+                    b.sort_unstable();
+                    assert_eq!(a, b, "{name}, {len} pairs");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_path_builds_sorted_runs() {
+        let mid = mid_table(5_000);
+        let wide = wide_table(3_000);
+        let (mid_spec, wide_spec) =
+            (GroupSpec::ground(&[0, 1, 2]).unwrap(), GroupSpec::ground(&[0, 1, 2, 3, 4]).unwrap());
+        for (t, spec, form) in [(&mid, &mid_spec, "packed"), (&wide, &wide_spec, "hash")] {
+            let serial = t.frequency_set(spec).unwrap();
+            assert_is_run(&serial, form);
+            for threads in [1, 2, 3] {
+                let set = FrequencySet::scan(t, spec, threads);
+                assert_is_run(&set, form);
+                assert_eq!(set.iter().collect::<Vec<_>>(), serial.iter().collect::<Vec<_>>());
+            }
+            // Same-level derivations keep every group, so they stay runs.
+            let levels: Vec<LevelNo> = spec.parts().iter().map(|&(_, l)| l).collect();
+            assert_is_run(&serial.rollup(t.schema(), &levels).unwrap(), form);
+            let all: Vec<usize> = (0..spec.len()).collect();
+            assert_is_run(&serial.project(&all).unwrap(), form);
+        }
+        // Rollups and projections that merge groups into code runs: from
+        // a code run, and from a `GroupKey` run into a packable space.
+        let mid_set = mid.frequency_set(&mid_spec).unwrap();
+        let merged = mid_set.project(&[0, 2]).unwrap();
+        assert!(merged.num_groups() < mid_set.num_groups());
+        assert_is_run(&merged, "packed");
+        let wide_set = wide.frequency_set(&wide_spec).unwrap();
+        let wide_pair = wide_set.project(&[0, 1]).unwrap();
+        assert_is_run(&wide_pair, "packed");
+        let merged = wide_pair.rollup(wide.schema(), &[2, 2]).unwrap();
+        assert!(merged.num_groups() < wide_pair.num_groups());
+        assert_is_run(&merged, "packed");
+        assert_is_run(&wide_set.rollup(wide.schema(), &[1, 1, 1, 1, 1]).unwrap(), "packed");
+        // Dense → run: 2,000 rows over 1,000 × 1,000 values, 1,000 groups
+        // with ten distinct `a`. Scanning `a` alone, or projecting onto
+        // it, accumulates densely (the rows or groups could fill its
+        // slots), but its ten groups settle into a run.
+        let labels: Vec<String> = (0..1_000).map(|i| format!("v{i}")).collect();
+        let labels: Vec<&str> = labels.iter().map(String::as_str).collect();
+        let schema = Schema::new(vec![
+            Attribute::new("a", builders::suppression("a", &labels).unwrap()),
+            Attribute::new("b", builders::suppression("b", &labels).unwrap()),
+        ])
+        .unwrap();
+        let a = (0..2_000u32).map(|i| 990 - i % 10 * 110).collect();
+        let b = (0..2_000u32).map(|i| i % 1_000).collect();
+        let sparse = Table::from_columns(schema, vec![a, b]).unwrap();
+        let pairs = sparse.frequency_set(&GroupSpec::ground(&[0, 1]).unwrap()).unwrap();
+        assert_is_run(&pairs, "packed");
+        let spec = GroupSpec::ground(&[0]).unwrap();
+        let space = KeySpace::for_spec(sparse.schema(), &spec);
+        assert!(matches!(Counts::accumulator(&space, sparse.num_rows()), Counts::Dense(_)));
+        assert!(matches!(Counts::accumulator(&space, pairs.num_groups()), Counts::Dense(_)));
+        for set in [sparse.frequency_set(&spec).unwrap(), pairs.project(&[0]).unwrap()] {
+            assert_is_run(&set, "packed");
+            assert_eq!(set.num_groups(), 10);
+        }
+    }
+
+    #[test]
+    fn count_is_zero_before_between_and_after_the_entries() {
+        // Two attributes of ten values; the groups (1,1), (1,3), (5,5),
+        // (8,8) leave gaps before, between and after them.
+        let labels: Vec<String> = (0..10).map(|i| format!("v{i}")).collect();
+        let labels: Vec<&str> = labels.iter().map(String::as_str).collect();
+        let schema = Schema::new(vec![
+            Attribute::new("a", builders::suppression("a", &labels).unwrap()),
+            Attribute::new("b", builders::suppression("b", &labels).unwrap()),
+        ])
+        .unwrap();
+        let t = Table::from_columns(schema, vec![vec![1, 1, 1, 5, 8, 8], vec![1, 3, 3, 5, 8, 8]])
+            .unwrap();
+        let set = t.frequency_set(&GroupSpec::ground(&[0, 1]).unwrap()).unwrap();
+        let present = [([1, 1], 1), ([1, 3], 2), ([5, 5], 1), ([8, 8], 2)];
+        let absent = [[0, 0], [1, 0], [1, 2], [1, 4], [4, 9], [5, 6], [8, 7], [8, 9], [9, 9]];
+        for from in forms(&set.space).into_iter().map(|acc| in_form(&set, acc)) {
+            for (key, c) in present {
+                assert_eq!(from.count(&GroupKey::from_slice(&key)), c, "{} {key:?}", from.form());
+            }
+            for key in absent {
+                assert_eq!(from.count(&GroupKey::from_slice(&key)), 0, "{} {key:?}", from.form());
+            }
+        }
+        // A `GroupKey` run over a space too wide to pack.
+        let wide = wide_table(200);
+        let set = wide.frequency_set(&GroupSpec::ground(&[0, 1, 2, 3, 4]).unwrap()).unwrap();
+        assert_is_run(&set, "hash");
+        let keys: Vec<GroupKey> = set.iter().map(|(k, _)| k).collect();
+        // Before: lower one of the first key's components; after: raise
+        // one of the last key's.
+        let (first, last) = (keys[0], keys[keys.len() - 1]);
+        let mut before = first;
+        *before.vals[..5].iter_mut().find(|v| **v > 0).expect("a nonzero component") -= 1;
+        let mut after = last;
+        *after.vals[..5].iter_mut().find(|v| **v < 9_999).expect("a component below max") += 1;
+        // Between: past one entry's last component, short of the next key.
+        let i = (0..keys.len() - 1)
+            .find(|&i| {
+                let mut k = keys[i];
+                k.vals[4] += 1;
+                k < keys[i + 1]
+            })
+            .expect("a gap");
+        let mut between = keys[i];
+        between.vals[4] += 1;
+        for key in [before, between, after] {
+            assert_eq!(set.count(&key), 0, "{key:?}");
+        }
+        assert_eq!(set.count(&first), set.iter().next().unwrap().1);
     }
 }

@@ -3,6 +3,7 @@
 # then check that everything under results/ is documented.
 #
 # Usage: scripts/bench_report.sh [--thread-sweep] [extra bin args...]
+#        scripts/bench_report.sh -h | --help   (print this and exit)
 # e.g.   scripts/bench_report.sh --quick
 #        scripts/bench_report.sh --quick --thread-sweep
 #        scripts/bench_report.sh --rows-adults 5000 --rows-landsend 20000
@@ -17,6 +18,17 @@
 # available) and asserts the fields the acceptance criteria name.
 
 set -eu
+
+# -h / --help prints the usage block above, before anything is built or
+# any file under results/ is touched.
+for a in "$@"; do
+  case "$a" in
+    -h | --help)
+      sed -n '2,/^$/s/^# \{0,1\}//p' "$0"
+      exit 0
+      ;;
+  esac
+done
 
 cd "$(dirname "$0")/.."
 
