@@ -33,13 +33,12 @@ pub fn samarati_binary_search(
 ) -> Result<AnonymizationResult, AlgoError> {
     let schema = table.schema().clone();
     let qi = validate_qi(&schema, qi, cfg.k)?;
-    let _search_span = incognito_obs::trace::span("search")
+    let search_span = incognito_obs::span("search")
         .arg("algo", "binary_search")
         .arg("k", cfg.k)
         .arg("qi_arity", qi.len() as u64);
-    let search_start = std::time::Instant::now();
     let lattice = CandidateGraph::full_lattice(&schema, &qi);
-    let lattice_build = search_start.elapsed();
+    let lattice_build = search_span.elapsed();
 
     let max_height: u32 =
         qi.iter().map(|&a| schema.hierarchy(a).height() as u32).sum();
@@ -61,13 +60,13 @@ pub fn samarati_binary_search(
     // Probe one height: collect the k-anonymous nodes at that height.
     let provider = FreqProvider::new(table, cfg);
     let probe = |h: u32, stats: &mut SearchStats, it: &mut IterationStats| -> Result<Vec<u32>, AlgoError> {
-        let mut probe_span = incognito_obs::trace::span("probe")
+        let mut probe_span = incognito_obs::span("probe")
             .arg("height", h as u64)
             .arg("nodes", by_height[h as usize].len() as u64);
         let mut hits = Vec::new();
         for &id in &by_height[h as usize] {
-            let mut check_span = incognito_obs::trace::span("check");
-            if check_span.is_active() {
+            let mut check_span = incognito_obs::span("check");
+            if check_span.is_traced() {
                 check_span.set_arg("node", crate::trace::spec_label(&lattice.node(id).parts));
             }
             let t0 = std::time::Instant::now();
@@ -110,8 +109,8 @@ pub fn samarati_binary_search(
     }
 
     it_stats.survivors = hits.len();
-    it_stats.wall = search_start.elapsed();
-    stats.timings.total = search_start.elapsed();
+    stats.timings.total = search_span.finish();
+    it_stats.wall = stats.timings.total;
     stats.push_iteration(it_stats);
     let generalizations: Vec<Generalization> = hits
         .into_iter()

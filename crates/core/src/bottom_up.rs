@@ -30,16 +30,15 @@ pub fn bottom_up_search(
 ) -> Result<AnonymizationResult, AlgoError> {
     let schema = table.schema().clone();
     let qi = validate_qi(&schema, qi, cfg.k)?;
-    let _search_span = incognito_obs::trace::span("search")
+    let search_span = incognito_obs::span("search")
         .arg("algo", if cfg.rollup { "bottom_up_rollup" } else { "bottom_up" })
         .arg("k", cfg.k)
         .arg("qi_arity", qi.len() as u64);
-    let search_start = std::time::Instant::now();
     let lattice = CandidateGraph::full_lattice(&schema, &qi);
     let num = lattice.num_nodes();
 
     let mut stats = SearchStats::default();
-    stats.timings.candidate_gen = search_start.elapsed();
+    stats.timings.candidate_gen = search_span.elapsed();
     let mut it_stats = IterationStats {
         arity: qi.len(),
         candidates: num,
@@ -69,8 +68,8 @@ pub fn bottom_up_search(
         (0..num).map(|id| lattice.direct_generalizations(id as NodeId).len() as u32).collect();
 
     while let Some(node) = order.pop_front() {
-        let mut check_span = incognito_obs::trace::span("check");
-        if check_span.is_active() {
+        let mut check_span = incognito_obs::span("check");
+        if check_span.is_traced() {
             check_span.set_arg("node", crate::trace::spec_label(&lattice.node(node).parts));
         }
         let spec = lattice.node(node).to_group_spec()?;
@@ -124,8 +123,8 @@ pub fn bottom_up_search(
     }
 
     it_stats.survivors = anonymous.iter().filter(|&&a| a).count();
-    it_stats.wall = search_start.elapsed();
-    stats.timings.total = search_start.elapsed();
+    stats.timings.total = search_span.finish();
+    it_stats.wall = stats.timings.total;
     stats.push_iteration(it_stats);
 
     let generalizations: Vec<Generalization> = anonymous

@@ -9,8 +9,6 @@
 //! projecting a one-attribute-wider superset (the Subset Property), never
 //! touching the base table again.
 
-use std::time::Instant;
-
 use incognito_table::{GroupSpec, Table};
 
 use crate::error::validate_qi;
@@ -68,9 +66,7 @@ impl Cube {
         let qi = validate_qi(&schema, qi, cfg.k)?;
         let threads = cfg.threads;
         let n = qi.len();
-        let mut cube_span = incognito_obs::trace::span("cube.build")
-            .arg("qi_arity", n as u64);
-        let start = Instant::now();
+        let mut cube_span = incognito_obs::span("cube.build").arg("qi_arity", n as u64);
         let pool = (threads > 1).then(|| incognito_exec::shared(threads));
         let provider = FreqProvider::new(table, cfg);
 
@@ -115,7 +111,7 @@ impl Cube {
         }
 
         cube_span.set_arg("projections", projections as u64);
-        Ok(Cube { qi, freq, build_time: start.elapsed(), projections })
+        Ok(Cube { qi, freq, build_time: cube_span.finish(), projections })
     }
 
     /// The (sorted) quasi-identifier the cube covers.

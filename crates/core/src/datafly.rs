@@ -27,19 +27,18 @@ pub fn datafly(table: &Table, qi: &[usize], cfg: &Config) -> Result<Anonymizatio
     let mut levels: Vec<LevelNo> = vec![0; qi.len()];
     let heights: Vec<LevelNo> = qi.iter().map(|&a| schema.hierarchy(a).height()).collect();
 
-    let _search_span = incognito_obs::trace::span("search")
+    let search_span = incognito_obs::span("search")
         .arg("algo", "datafly")
         .arg("k", cfg.k)
         .arg("qi_arity", qi.len() as u64);
-    let search_start = std::time::Instant::now();
     let mut stats = SearchStats::default();
     let mut it_stats = IterationStats { arity: qi.len(), ..IterationStats::default() };
     let provider = FreqProvider::new(table, cfg);
 
     loop {
         let spec = GroupSpec::new(qi.iter().copied().zip(levels.iter().copied()).collect())?;
-        let mut check_span = incognito_obs::trace::span("check");
-        if check_span.is_active() {
+        let mut check_span = incognito_obs::span("check");
+        if check_span.is_traced() {
             check_span.set_arg(
                 "node",
                 crate::trace::spec_label(
@@ -80,8 +79,8 @@ pub fn datafly(table: &Table, qi: &[usize], cfg: &Config) -> Result<Anonymizatio
     }
 
     it_stats.survivors = 1;
-    it_stats.wall = search_start.elapsed();
-    stats.timings.total = search_start.elapsed();
+    stats.timings.total = search_span.finish();
+    it_stats.wall = stats.timings.total;
     stats.push_iteration(it_stats);
     Ok(AnonymizationResult::new(
         qi,

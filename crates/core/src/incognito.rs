@@ -150,8 +150,8 @@ fn eval_plan(
     plan: &FreqPlan<'_>,
     scan_threads: usize,
 ) -> Result<Checked, AlgoError> {
-    let mut check_span = incognito_obs::trace::span("check");
-    if check_span.is_active() {
+    let mut check_span = incognito_obs::span("check");
+    if check_span.is_traced() {
         check_span.set_arg("node", crate::trace::spec_label(&graph.node(node).parts));
     }
     let mut scan_time = Duration::ZERO;
@@ -198,8 +198,8 @@ fn eval_store(
     node: NodeId,
     spec: &GroupSpec,
 ) -> Result<Checked, AlgoError> {
-    let mut check_span = incognito_obs::trace::span("check");
-    if check_span.is_active() {
+    let mut check_span = incognito_obs::span("check");
+    if check_span.is_traced() {
         check_span.set_arg("node", crate::trace::spec_label(&graph.node(node).parts));
     }
     let t0 = Instant::now();
@@ -272,14 +272,13 @@ pub(crate) fn incognito_impl(
     let qi_pos: FxHashMap<usize, usize> =
         qi.iter().enumerate().map(|(p, &a)| (a, p)).collect();
 
-    let search_start = Instant::now();
     let algo = match (&alt, cfg.superroots) {
         (AltSource::None, false) => "basic",
         (AltSource::None, true) => "superroots",
         (AltSource::Cube(_), _) => "cube",
         (AltSource::Store(_), _) => "store",
     };
-    let _search_span = incognito_obs::trace::span("search")
+    let search_span = incognito_obs::span("search")
         .arg("algo", algo)
         .arg("k", cfg.k)
         .arg("qi_arity", n as u64);
@@ -304,8 +303,7 @@ pub(crate) fn incognito_impl(
     let is_store = matches!(alt, AltSource::Store(_));
 
     for i in 1..=n {
-        let iter_start = Instant::now();
-        let mut iter_span = incognito_obs::trace::span("iteration")
+        let mut iter_span = incognito_obs::span("iteration")
             .arg("arity", i as u64)
             .arg("candidates", graph.num_nodes() as u64)
             .arg("edges", graph.num_edges() as u64);
@@ -353,14 +351,13 @@ pub(crate) fn incognito_impl(
                                scan_threads: usize|
              -> Result<(FreqHandle, Duration), AlgoError> {
                 let glb = graph.family_glb(fam_roots).expect("same family");
-                let mut sr_span = incognito_obs::trace::span("superroot.scan")
+                let mut sr_span = incognito_obs::span("superroot.scan")
                     .arg("roots", fam_roots.len() as u64);
-                if sr_span.is_active() {
+                if sr_span.is_traced() {
                     sr_span.set_arg("glb", crate::trace::spec_label(&glb.parts));
                 }
-                let scan_start = Instant::now();
                 let freq = provider.scan(&glb.to_group_spec()?, scan_threads)?;
-                Ok((freq, scan_start.elapsed()))
+                Ok((freq, sr_span.finish()))
             };
             let scanned: Vec<Result<(FreqHandle, Duration), AlgoError>> = match &pool {
                 // One task per family; each family's scan stays serial —
@@ -605,15 +602,14 @@ pub(crate) fn incognito_impl(
             stats.timings.candidate_gen += gen_start.elapsed();
         }
         cache_gauges.publish();
-        it_stats.wall = iter_start.elapsed();
         sink(TraceEvent::IterationEnd { survivors: it_stats.survivors });
         iter_span.set_arg("checked", it_stats.nodes_checked as u64);
         iter_span.set_arg("marked", it_stats.nodes_marked as u64);
         iter_span.set_arg("survivors", it_stats.survivors as u64);
-        iter_span.finish();
+        it_stats.wall = iter_span.finish();
         stats.push_iteration(it_stats);
     }
-    stats.timings.total = search_start.elapsed();
+    stats.timings.total = search_span.finish();
 
     let generalizations: Vec<Generalization> = final_alive
         .iter()

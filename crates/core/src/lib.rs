@@ -3,7 +3,7 @@
 //! This crate implements every search algorithm of *Incognito: Efficient
 //! Full-Domain K-Anonymity* (SIGMOD 2005):
 //!
-//! * [`incognito`] — **Basic Incognito** (Figure 8): iterate over
+//! * [`incognito()`] — **Basic Incognito** (Figure 8): iterate over
 //!   quasi-identifier subset sizes, breadth-first-search each candidate
 //!   graph bottom-up with rollup from parents and generalization-property
 //!   marking, and a-priori-generate the next candidate graph;
@@ -36,7 +36,6 @@ pub mod cube;
 pub mod datafly;
 pub mod distance_matrix;
 mod error;
-pub mod explain;
 pub mod incognito;
 pub mod materialize;
 pub mod muargus;
@@ -49,7 +48,6 @@ pub mod trace;
 pub mod verify;
 
 pub use error::AlgoError;
-pub use explain::{render_dot, ExplainPlan};
 pub use incognito::incognito;
 pub use provider::{FreqHandle, FreqProvider};
 pub use result::{AnonymizationResult, Generalization};

@@ -182,7 +182,7 @@ fn run_job(job: Job, me: usize) {
     } else {
         None
     };
-    let span = incognito_obs::trace::span_under("exec.task", job.parent);
+    let span = incognito_obs::span_under("exec.task", job.parent);
     let span = if me == usize::MAX { span.arg("worker", "caller") } else { span.arg("worker", me as u64) };
     (job.task)();
     span.finish();

@@ -66,17 +66,15 @@ pub fn generate_next(
     strategy: PruneStrategy,
 ) -> CandidateGraph {
     assert_eq!(alive.len(), prev.num_nodes(), "aliveness vector must cover all nodes");
-    let _span = incognito_obs::span("lattice.generate.time");
-    let mut tspan = incognito_obs::trace::span("candidate.generate")
-        .arg("arity", (prev.arity() + 1) as u64);
+    let mut span =
+        incognito_obs::span("lattice.generate").arg("arity", (prev.arity() + 1) as u64);
     incognito_obs::incr("lattice.generate.count");
     let arity = prev.arity() + 1;
 
     // ---- Join phase -------------------------------------------------------
     // Bucket survivors by their first (arity_prev - 1) components; within a
     // bucket, pair p, q with p's last attribute < q's last attribute.
-    let join_span = incognito_obs::span("lattice.generate.join.time");
-    let join_tspan = incognito_obs::trace::span("lattice.join");
+    let join_span = incognito_obs::span("lattice.generate.join");
     let survivors: Vec<NodeId> = (0..prev.num_nodes() as NodeId)
         .filter(|&id| alive[id as usize])
         .collect();
@@ -151,8 +149,7 @@ pub fn generate_next(
             }
         }
     }
-    join_span.finish();
-    join_tspan
+    join_span
         .arg("survivors_in", survivors.len() as u64)
         .arg("pruned", pruned)
         .arg("candidates_out", nodes.len() as u64)
@@ -161,13 +158,11 @@ pub fn generate_next(
     incognito_obs::add("lattice.generate.candidates_out", nodes.len() as u64);
 
     // ---- Edge generation --------------------------------------------------
-    let edge_span = incognito_obs::span("lattice.generate.edges.time");
-    let edge_tspan = incognito_obs::trace::span("lattice.edges");
+    let edge_span = incognito_obs::span("lattice.generate.edges");
     let edges = generate_edges(prev, &nodes);
-    edge_span.finish();
-    edge_tspan.arg("edges_out", edges.len() as u64).finish();
+    edge_span.arg("edges_out", edges.len() as u64).finish();
     incognito_obs::add("lattice.generate.edges_out", edges.len() as u64);
-    tspan.set_arg("candidates_out", nodes.len() as u64);
+    span.set_arg("candidates_out", nodes.len() as u64);
     CandidateGraph::new(arity, nodes, edges)
 }
 

@@ -7,12 +7,15 @@
 //!
 //! * [`MetricsRegistry`] — named atomic counters and timers, snapshotted to
 //!   an immutable [`MetricsSnapshot`] that supports `diff`.
-//! * [`Span`] — RAII monotonic-clock timing; a no-op unless observation is
-//!   enabled.
+//! * [`Span`] — the one instrumentation probe, opened by [`span`] or
+//!   [`span_under`]: an RAII monotonic-clock guard that records into the
+//!   timer named after it while metrics are on, into the trace tree while
+//!   tracing is on, and hands its duration back from [`Span::finish`]
+//!   either way.
 //! * [`Json`] / [`RunReport`] — a hand-rolled (zero-dependency) JSON value
 //!   with writer and parser, and the `BENCH_<name>.json` report builder the
 //!   bench bins emit alongside their CSVs.
-//! * [`trace`] — hierarchical trace trees: nesting [`TraceSpan`]s with
+//! * [`trace`] — hierarchical trace trees: nesting [`Span`]s with
 //!   key/value args, exported as Chrome Trace Event Format JSON for
 //!   Perfetto / `chrome://tracing` (gated by its own flag, see the module
 //!   docs).
@@ -31,7 +34,8 @@
 //!
 //! All recording funnels through a single process-global `AtomicBool`
 //! (relaxed load). When observation is **disabled** (the default) every
-//! probe — counter adds included — is one relaxed load and a branch;
+//! counter probe is one relaxed load and a branch, and a span adds one
+//! clock read (its duration feeds the engines' phase timings);
 //! instrumented code records at *call* granularity (one add of `n_rows` per
 //! scan, never one per row), so the disabled cost is unmeasurable against
 //! any real scan or group-by. Benchmarks and examples opt in with
@@ -44,14 +48,12 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
-use std::time::Duration;
 
 pub mod json;
 pub mod mem;
 pub mod metrics;
 pub mod report;
 pub mod rng;
-pub mod span;
 pub mod trace;
 
 pub use json::{Json, JsonError};
@@ -62,8 +64,7 @@ pub use metrics::{
 };
 pub use report::RunReport;
 pub use rng::Rng;
-pub use span::Span;
-pub use trace::{TraceRecord, TraceSpan};
+pub use trace::{span, span_under, Span, TraceRecord};
 
 /// Process-global switch for all observation. Off by default.
 static ENABLED: AtomicBool = AtomicBool::new(false);
@@ -119,27 +120,6 @@ pub fn gauge_add(name: &str, v: i64) {
     }
 }
 
-/// Open a timing span against the named global timer. Returns an inert
-/// span (no clock read, nothing recorded on drop) while observation is
-/// disabled.
-#[inline]
-pub fn span(name: &str) -> Span {
-    if enabled() {
-        Span::active(global().timer(name))
-    } else {
-        Span::inert()
-    }
-}
-
-/// Record an externally measured duration against the named global timer.
-/// No-op while observation is disabled.
-#[inline]
-pub fn record_duration(name: &str, d: Duration) {
-    if enabled() {
-        global().timer(name).record(d);
-    }
-}
-
 /// Snapshot the global registry (works whether or not observation is
 /// currently enabled — it reads whatever has been recorded so far).
 pub fn snapshot() -> MetricsSnapshot {
@@ -173,20 +153,17 @@ mod tests {
         set_enabled(true);
         add("lib.test.counter", 5);
         incr("lib.test.counter");
-        {
-            let _s = span("lib.test.span");
-        }
-        record_duration("lib.test.span", Duration::from_micros(3));
+        let measured = span("lib.test.span").finish();
         set_enabled(false);
 
         let after = snapshot();
         assert_eq!(after.counter("lib.test.counter"), 6);
         let t = after.timer("lib.test.span");
-        assert_eq!(t.count, 2);
-        assert!(t.total >= Duration::from_micros(3));
+        assert_eq!(t.count, 1);
+        assert_eq!(t.total, measured);
 
         let d = after.diff(&before);
         assert_eq!(d.counter("lib.test.counter"), 6);
-        assert_eq!(d.timer("lib.test.span").count, 2);
+        assert_eq!(d.timer("lib.test.span").count, 1);
     }
 }

@@ -13,7 +13,7 @@
 //! * **per-thread** counters — allocated bytes and allocation count in
 //!   const-initialised `thread_local!` cells, read via
 //!   [`thread_allocated_bytes`] / [`thread_alloc_count`]. These are what
-//!   [`crate::trace::TraceSpan`] samples at open and close to attribute an
+//!   a traced [`crate::Span`] samples at open and close to attribute an
 //!   allocation delta to each span; because a work-stealing pool's
 //!   `exec.task` spans open and close on the worker that actually ran the
 //!   task, per-worker attribution survives stealing for free.

@@ -82,10 +82,11 @@ impl RunReport {
     }
 }
 
-/// Render a snapshot as an ordered JSON object: counters become integers,
-/// timers become `{count, total_ns, mean_ns, max_ns, hist}` where `hist`
-/// lists the non-empty power-of-two buckets as `[bit_length, count]`
-/// pairs.
+/// Render a snapshot as an ordered JSON object: counters and gauges
+/// become integers under their own names; the timer of span `<name>`
+/// becomes `<name>.time: {count, total_ns, mean_ns, max_ns, hist}`, where
+/// `hist` lists the non-empty power-of-two buckets as
+/// `[bit_length, count]` pairs.
 pub fn snapshot_to_json(snapshot: &MetricsSnapshot) -> Json {
     let mut obj = Json::obj();
     for (name, value) in snapshot.iter() {
@@ -110,7 +111,7 @@ pub fn snapshot_to_json(snapshot: &MetricsSnapshot) -> Json {
                     .map(|(bit, &n)| Json::Arr(vec![Json::from(bit), Json::from(n)]))
                     .collect();
                 timer.set("hist", Json::Arr(hist));
-                obj.set(name, timer);
+                obj.set(&format!("{name}.time"), timer);
             }
         }
     }
@@ -163,7 +164,7 @@ mod tests {
     fn snapshot_renders_counters_and_timers() {
         let reg = MetricsRegistry::new();
         reg.counter("table.scan.count").add(3);
-        reg.timer("table.scan.time").record(Duration::from_micros(10));
+        reg.timer("table.scan").record(Duration::from_micros(10));
         let j = snapshot_to_json(&reg.snapshot());
         assert_eq!(j.get("table.scan.count").and_then(Json::as_int), Some(3));
         let t = j.get("table.scan.time").unwrap();

@@ -1,23 +1,29 @@
-//! Hierarchical trace trees: nested spans serialized to Chrome Trace
-//! Event Format, loadable in Perfetto or `chrome://tracing`.
+//! Spans — one guard for timers, trace trees and phase timings — and the
+//! trace trees they build, serialized to Chrome Trace Event Format,
+//! loadable in Perfetto or `chrome://tracing`.
 //!
-//! Where [`crate::span`] feeds flat *timers* (aggregate count/total/max),
-//! a [`TraceSpan`] records one **event per occurrence** with its position
-//! in the call tree: each thread keeps a stack of open spans, a span's
-//! parent is whatever was on top of that stack when it opened (or, for
-//! work handed across threads, the span [`current`] reported on the
-//! handing thread, passed to [`span_under`]), and the
-//! completed events land in a process-global collector. [`drain`] hands
-//! the events back; [`write_chrome_trace`] serializes them as complete
-//! (`"ph": "X"`) events with microsecond timestamps relative to a common
-//! epoch, so the nesting Perfetto renders is exactly the nesting the
-//! engines executed.
+//! A [`Span`] (opened by [`span`] or [`span_under`], re-exported at the
+//! crate root) is the workspace's one instrumentation probe. It always
+//! reads the clock at open, so [`Span::finish`] hands the engines their
+//! phase timings. While metrics are on ([`crate::set_enabled`]) it
+//! records into the flat timer named after it (aggregate
+//! count/total/max). While tracing is on ([`set_enabled`]) it also
+//! records one **event per occurrence** with its position in the call
+//! tree: each thread keeps a stack of open spans, a span's parent is
+//! whatever was on top of that stack when it opened (or, for work handed
+//! across threads, the span [`current`] reported on the handing thread,
+//! passed to [`span_under`]), and the completed events land in a
+//! process-global collector. [`drain`] hands the events back;
+//! [`write_chrome_trace`] serializes them as complete (`"ph": "X"`)
+//! events with microsecond timestamps relative to a common epoch, so the
+//! nesting Perfetto renders is exactly the nesting the engines executed.
 //!
 //! Tracing is gated by its own flag, separate from the metrics flag:
 //! metrics are cheap enough to leave on for a whole benchmark suite,
 //! while tracing allocates one record per span and is meant for targeted
-//! `--trace` runs. While disabled, [`span`] returns an inert guard — one
-//! relaxed atomic load, no clock read, no allocation.
+//! `--trace` runs. With both flags off a span costs two relaxed atomic
+//! loads and one clock read (one more when [`Span::finish`] or
+//! [`Span::elapsed`] asks for the duration) — no allocation, no lock.
 //!
 //! The tree is rebuilt from parent links, not inferred from timestamp
 //! containment, so unbalanced drops (a parent finished before its child,
@@ -45,6 +51,7 @@ use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use crate::json::Json;
+use crate::metrics::TimerHandle;
 
 /// Process-global switch for trace collection, independent of the metrics
 /// flag. Off by default.
@@ -140,19 +147,33 @@ pub fn sample_counter(name: &str, value: u64) {
     counter_collector().lock().unwrap().push(sample);
 }
 
-/// An RAII guard for one span of the trace tree. Obtain via [`span`];
-/// records into the global collector on drop (or [`TraceSpan::finish`]).
-#[must_use = "a trace span records on drop; binding it to `_` drops it immediately"]
-pub struct TraceSpan {
-    state: Option<SpanState>,
+/// The one span guard of the workspace: a named, timed scope. Obtain via
+/// [`span`] or [`span_under`]. It reads the clock when it opens, and on
+/// drop (or [`Span::finish`]) it records
+///
+/// * one observation into the global timer named after the span, when
+///   metrics ([`crate::enabled`]) were on at open;
+/// * one [`TraceRecord`] with its args (and memory attribution), when
+///   tracing ([`enabled`]) was on at open;
+/// * nothing else: with both flags off it holds no timer, no record and
+///   no allocation, and takes no lock.
+///
+/// [`Span::elapsed`] and [`Span::finish`] report the measured duration
+/// whatever the flags, so the engines take their phase timings from the
+/// same guard that feeds the timer and the trace.
+#[must_use = "a span records on drop; binding it to `_` drops it immediately"]
+pub struct Span {
+    name: &'static str,
+    start: Instant,
+    timer: Option<TimerHandle>,
+    trace: Option<TraceState>,
 }
 
-struct SpanState {
-    name: String,
+/// What a span needs to become a [`TraceRecord`].
+struct TraceState {
     tid: u64,
     seq: u64,
     parent: Option<u64>,
-    start: Instant,
     args: Vec<(String, Json)>,
     /// This thread's (allocated_bytes, alloc_count) at open, when memory
     /// attribution was enabled; the close-time delta becomes the span's
@@ -161,17 +182,16 @@ struct SpanState {
 }
 
 /// Open a span named `name`, nested under the innermost span currently
-/// open on this thread. Inert (no clock read, no allocation) while trace
-/// collection is disabled.
-pub fn span(name: impl Into<String>) -> TraceSpan {
+/// open on this thread.
+pub fn span(name: &'static str) -> Span {
     open(name, None)
 }
 
 /// Open a span named `name` nested under `parent` — a `seq` from
 /// [`current`], possibly taken on another thread — instead of under this
 /// thread's innermost open span. Spans opened on this thread while it is
-/// open still nest under it. Inert while trace collection is disabled.
-pub fn span_under(name: impl Into<String>, parent: Option<u64>) -> TraceSpan {
+/// open still nest under it.
+pub fn span_under(name: &'static str, parent: Option<u64>) -> Span {
     open(name, Some(parent))
 }
 
@@ -189,53 +209,46 @@ pub fn current() -> Option<u64> {
 
 /// Shared body of [`span`] and [`span_under`]: `parent` overrides the
 /// thread's innermost open span when given.
-fn open(name: impl Into<String>, parent: Option<Option<u64>>) -> TraceSpan {
-    if !enabled() {
-        return TraceSpan { state: None };
-    }
-    let seq = NEXT_SEQ.fetch_add(1, Ordering::Relaxed);
-    let tid = TID.with(|t| *t);
-    let parent = STACK.with(|s| {
-        let mut s = s.borrow_mut();
-        let innermost = s.last().copied();
-        s.push(seq);
-        parent.unwrap_or(innermost)
-    });
-    let mem_at_open = if crate::mem::enabled() {
-        Some((crate::mem::thread_allocated_bytes(), crate::mem::thread_alloc_count()))
-    } else {
-        None
-    };
-    TraceSpan {
-        state: Some(SpanState {
-            name: name.into(),
-            tid,
-            seq,
-            parent,
-            start: Instant::now(),
-            args: Vec::new(),
-            mem_at_open,
-        }),
-    }
+fn open(name: &'static str, parent: Option<Option<u64>>) -> Span {
+    let timer = crate::enabled().then(|| crate::global().timer(name));
+    Span::start(name, timer, enabled(), parent)
 }
 
-impl TraceSpan {
-    /// True when this span will record on drop. Use to skip computing
-    /// expensive argument values in instrumented hot paths.
-    pub fn is_active(&self) -> bool {
-        self.state.is_some()
+impl Span {
+    /// Open a span recording into `timer` and, when `traced`, into the
+    /// trace under `parent` (see [`open`]).
+    fn start(
+        name: &'static str,
+        timer: Option<TimerHandle>,
+        traced: bool,
+        parent: Option<Option<u64>>,
+    ) -> Span {
+        let trace = traced.then(|| TraceState::open(parent));
+        Span { name, start: Instant::now(), timer, trace }
+    }
+
+    /// True when this span will become a trace record, i.e. keeps its
+    /// args. Use to skip computing expensive argument values in
+    /// instrumented hot paths.
+    pub fn is_traced(&self) -> bool {
+        self.trace.is_some()
+    }
+
+    /// Time since the span opened.
+    pub fn elapsed(&self) -> Duration {
+        self.start.elapsed()
     }
 
     /// Attach (or replace) an annotation; builder form of
-    /// [`TraceSpan::set_arg`].
-    pub fn arg(mut self, key: &str, value: impl Into<Json>) -> TraceSpan {
+    /// [`Span::set_arg`].
+    pub fn arg(mut self, key: &str, value: impl Into<Json>) -> Span {
         self.set_arg(key, value);
         self
     }
 
-    /// Attach (or replace) an annotation. No-op on an inert span.
+    /// Attach (or replace) an annotation. No-op unless the span is traced.
     pub fn set_arg(&mut self, key: &str, value: impl Into<Json>) {
-        if let Some(state) = &mut self.state {
+        if let Some(state) = &mut self.trace {
             match state.args.iter_mut().find(|(k, _)| k == key) {
                 Some((_, v)) => *v = value.into(),
                 None => state.args.push((key.to_owned(), value.into())),
@@ -243,27 +256,59 @@ impl TraceSpan {
         }
     }
 
-    /// Record now instead of at end of scope.
-    pub fn finish(mut self) {
-        self.record();
+    /// Record now instead of at end of scope, and return the duration
+    /// measured.
+    pub fn finish(mut self) -> Duration {
+        self.record()
     }
 
-    fn record(&mut self) {
-        let Some(mut state) = self.state.take() else { return };
-        let dur = state.start.elapsed();
+    fn record(&mut self) -> Duration {
+        let dur = self.start.elapsed();
+        if let Some(timer) = self.timer.take() {
+            timer.record(dur);
+        }
+        if let Some(state) = self.trace.take() {
+            state.record(self.name, self.start, dur);
+        }
+        dur
+    }
+}
+
+impl Drop for Span {
+    fn drop(&mut self) {
+        if self.timer.is_some() || self.trace.is_some() {
+            self.record();
+        }
+    }
+}
+
+impl TraceState {
+    fn open(parent: Option<Option<u64>>) -> TraceState {
+        let seq = NEXT_SEQ.fetch_add(1, Ordering::Relaxed);
+        let parent = STACK.with(|s| {
+            let mut s = s.borrow_mut();
+            let innermost = s.last().copied();
+            s.push(seq);
+            parent.unwrap_or(innermost)
+        });
+        let mem_at_open = crate::mem::enabled()
+            .then(|| (crate::mem::thread_allocated_bytes(), crate::mem::thread_alloc_count()));
+        TraceState { tid: TID.with(|t| *t), seq, parent, args: Vec::new(), mem_at_open }
+    }
+
+    fn record(mut self, name: &str, start: Instant, dur: Duration) {
         // Attribute this thread's allocation delta to the span — but only
         // when the guard closes on the thread that opened it; the open
         // sample belongs to that thread's counter, so a cross-thread drop
         // gets no memory args rather than a misattributed delta.
-        if let Some((bytes_at_open, count_at_open)) = state.mem_at_open {
-            if TID.with(|t| *t) == state.tid {
+        if let Some((bytes_at_open, count_at_open)) = self.mem_at_open {
+            if TID.with(|t| *t) == self.tid {
                 let alloc_bytes =
                     crate::mem::thread_allocated_bytes().saturating_sub(bytes_at_open);
                 let allocs = crate::mem::thread_alloc_count().saturating_sub(count_at_open);
-                state.args.push(("alloc_bytes".to_owned(), Json::from(alloc_bytes)));
-                state.args.push(("allocs".to_owned(), Json::from(allocs)));
-                state
-                    .args
+                self.args.push(("alloc_bytes".to_owned(), Json::from(alloc_bytes)));
+                self.args.push(("allocs".to_owned(), Json::from(allocs)));
+                self.args
                     .push(("peak_live".to_owned(), Json::from(crate::mem::peak_live_bytes())));
                 sample_counter("mem.live_bytes", crate::mem::live_bytes());
             }
@@ -274,26 +319,20 @@ impl TraceSpan {
         // position also clears any children that were leaked open.
         STACK.with(|s| {
             let mut s = s.borrow_mut();
-            if let Some(pos) = s.iter().rposition(|&q| q == state.seq) {
+            if let Some(pos) = s.iter().rposition(|&q| q == self.seq) {
                 s.truncate(pos);
             }
         });
         let record = TraceRecord {
-            name: state.name,
-            tid: state.tid,
-            seq: state.seq,
-            parent: state.parent,
-            ts_ns: duration_ns(state.start.saturating_duration_since(epoch())),
+            name: name.to_owned(),
+            tid: self.tid,
+            seq: self.seq,
+            parent: self.parent,
+            ts_ns: duration_ns(start.saturating_duration_since(epoch())),
             dur_ns: duration_ns(dur),
-            args: state.args,
+            args: self.args,
         };
         collector().lock().unwrap().push(record);
-    }
-}
-
-impl Drop for TraceSpan {
-    fn drop(&mut self) {
-        self.record();
     }
 }
 
@@ -562,6 +601,7 @@ pub fn profile(records: &[TraceRecord]) -> Vec<ProfileRow> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::MetricsRegistry;
 
     fn rec(name: &str, seq: u64, parent: Option<u64>, ts: u64, dur: u64) -> TraceRecord {
         TraceRecord {
@@ -638,6 +678,37 @@ mod tests {
         assert_eq!(back[1].args, records[1].args);
         assert_eq!(back[1].ts_ns, 10_000);
         assert_eq!(back[1].dur_ns, 40_000);
+    }
+
+    #[test]
+    fn span_records_once_on_drop() {
+        let reg = MetricsRegistry::new();
+        {
+            let _s = Span::start("op", Some(reg.timer("op")), false, None);
+        }
+        assert_eq!(reg.snapshot().timer("op").count, 1);
+    }
+
+    #[test]
+    fn finish_preempts_drop() {
+        let reg = MetricsRegistry::new();
+        let s = Span::start("op", Some(reg.timer("op")), false, None);
+        let d = s.finish();
+        let t = reg.snapshot().timer("op");
+        assert_eq!(t.count, 1);
+        assert_eq!(t.total, d);
+    }
+
+    #[test]
+    fn inert_span_records_nothing_but_still_times() {
+        let reg = MetricsRegistry::new();
+        let s = Span::start("op", None, false, None);
+        assert!(!s.is_traced());
+        let spin = Instant::now();
+        while spin.elapsed().is_zero() {}
+        assert!(s.elapsed() > Duration::ZERO);
+        assert!(s.finish() > Duration::ZERO);
+        assert!(reg.snapshot().is_empty());
     }
 
     // Trace + mem attribution flags are process-global; this is the only

@@ -15,7 +15,7 @@ pub fn frequency_set_sql(
     star: &StarSchema,
     parts: &[(usize, LevelNo)],
 ) -> Result<Relation, StarError> {
-    let _tspan = incognito_obs::trace::span("sql.scan")
+    let _span = incognito_obs::span("sql.scan")
         .arg("rows", star.fact().len() as u64);
     // Start from the fact columns we need (level-0 names).
     let base_cols: Vec<(String, String)> = parts
@@ -71,7 +71,7 @@ pub fn rollup_sql(
     from: &[(usize, LevelNo)],
     to: &[LevelNo],
 ) -> Result<Relation, StarError> {
-    let _tspan = incognito_obs::trace::span("sql.rollup")
+    let _span = incognito_obs::span("sql.rollup")
         .arg("groups_in", freq.len() as u64);
     assert_eq!(from.len(), to.len());
     let mut rel = freq.clone();

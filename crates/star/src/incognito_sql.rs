@@ -64,7 +64,7 @@ pub fn incognito_sql(
         }));
     }
 
-    let _search_span = incognito_obs::trace::span("search")
+    let _search_span = incognito_obs::span("search")
         .arg("algo", "sql")
         .arg("k", cfg.k)
         .arg("qi_arity", sorted.len() as u64);
@@ -86,10 +86,11 @@ pub fn incognito_sql(
     };
 
     for i in 1..=n {
-        let mut iter_span = incognito_obs::trace::span("sql.iteration")
+        let mut iter_span = incognito_obs::span("sql.iteration")
             .arg("arity", i as u64)
             .arg("candidates", nodes.len() as u64)
             .arg("edges", edges.len() as u64);
+        let marked_before = outcome.nodes_marked;
         let num = nodes.len();
         // Adjacency over dense IDs (initial_relations and prune_phase both
         // assign IDs 0..num in row order).
@@ -130,7 +131,7 @@ pub fn incognito_sql(
             }
             processed[node] = true;
 
-            let mut check_span = incognito_obs::trace::span("sql.check");
+            let mut check_span = incognito_obs::span("sql.check");
             let freq = match in_adj[node].iter().find(|&&p| cache.contains_key(&p)) {
                 Some(&p) => {
                     outcome.rollup_queries += 1;
@@ -172,6 +173,7 @@ pub fn incognito_sql(
             }
         }
 
+        iter_span.set_arg("marked", (outcome.nodes_marked - marked_before) as u64);
         iter_span.set_arg("survivors", alive.iter().filter(|&&a| a).count() as u64);
         if i == n {
             for (row, &a) in alive.iter().enumerate() {

@@ -4,7 +4,7 @@
 //! queries through dimension tables, candidate graphs as Nodes/Edges
 //! relations (Figure 6), and candidate generation as the two SQL
 //! statements printed in §3.1.2 — all running on the
-//! [`incognito_rel`](incognito_rel) mini relational engine.
+//! [`incognito_rel`] mini relational engine.
 //!
 //! The native columnar path in `incognito-core` is the fast
 //! implementation; this crate exists because the paper's contribution was

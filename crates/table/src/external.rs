@@ -247,7 +247,7 @@ impl ExternalFrequencySet {
         spec.validate(table.schema())?;
         let num_partitions = num_partitions.clamp(1, MAX_PARTITIONS);
         let dir = fresh_spill_dir(spill_root)?;
-        let mut span = incognito_obs::trace::span("spill.build")
+        let mut span = incognito_obs::span("spill.build")
             .arg("rows", table.num_rows() as u64)
             .arg("partitions", num_partitions as u64);
 
@@ -533,7 +533,7 @@ impl ExternalFrequencySet {
     ) -> Result<ExternalFrequencySet, ExternalError> {
         let (spec, maps) = self.spec.rollup_to(schema, target)?;
         let space = KeySpace::for_spec(schema, &spec);
-        let mut span = incognito_obs::trace::span("spill.rollup")
+        let mut span = incognito_obs::span("spill.rollup")
             .arg("partitions", self.partitions.len() as u64);
         let child = self.derive(spec, space, spill_root, rollup_digits(&maps))?;
         span.set_arg("bytes", child.spilled_bytes());
@@ -550,7 +550,7 @@ impl ExternalFrequencySet {
     ) -> Result<ExternalFrequencySet, ExternalError> {
         let spec = self.spec.project(keep)?;
         let space = self.space.project(keep);
-        let mut span = incognito_obs::trace::span("spill.project")
+        let mut span = incognito_obs::span("spill.project")
             .arg("partitions", self.partitions.len() as u64);
         let child = self.derive(spec, space, spill_root, project_digits(keep))?;
         span.set_arg("bytes", child.spilled_bytes());
@@ -560,7 +560,7 @@ impl ExternalFrequencySet {
     /// Upgrade to the in-memory representation (requires the whole set to
     /// fit, of course), in the form an in-memory build would keep.
     pub fn into_frequency_set(self) -> Result<FrequencySet, ExternalError> {
-        let _span = incognito_obs::trace::span("spill.upgrade")
+        let _span = incognito_obs::span("spill.upgrade")
             .arg("partitions", self.partitions.len() as u64);
         let records = self.records() as usize;
         let mut counts = Counts::accumulator(&self.space, records);

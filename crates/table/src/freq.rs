@@ -5,7 +5,8 @@
 //! `SELECT COUNT(*) ... GROUP BY Q1, ..., Qn`. The Incognito algorithms
 //! manipulate frequency sets three ways:
 //!
-//! * [`FrequencySet::scan`] computes one from the base table (a table scan);
+//! * [`Table::frequency_set`](crate::Table::frequency_set) computes one from
+//!   the base table (a table scan);
 //! * [`FrequencySet::rollup`] generalizes one to higher levels by summing
 //!   counts along the dimension hierarchies (the **Rollup Property**, §3);
 //! * [`FrequencySet::project`] drops attributes and re-sums (used by Cube
@@ -659,11 +660,10 @@ impl Counts {
     }
 }
 
-/// The trace span and counter names of one kind of derivation, spelled
-/// out so that recording them allocates nothing.
+/// The span and counter names of one kind of derivation, spelled out so
+/// that recording them allocates nothing.
 struct Derivation {
     span: &'static str,
-    time: &'static str,
     dense: &'static str,
     count: &'static str,
     groups_in: &'static str,
@@ -672,7 +672,6 @@ struct Derivation {
 
 const ROLLUP: Derivation = Derivation {
     span: "table.rollup",
-    time: "table.rollup.time",
     dense: "table.rollup.dense",
     count: "table.rollup.count",
     groups_in: "table.rollup.groups_in",
@@ -681,7 +680,6 @@ const ROLLUP: Derivation = Derivation {
 
 const PROJECT: Derivation = Derivation {
     span: "table.project",
-    time: "table.project.time",
     dense: "table.project.dense",
     count: "table.project.count",
     groups_in: "table.project.groups_in",
@@ -815,10 +813,9 @@ impl FrequencySet {
     pub(crate) fn scan(table: &Table, spec: &GroupSpec, threads: usize) -> FrequencySet {
         let nrows = table.num_rows();
         let shards = threads.min(nrows / MIN_SHARD_ROWS).max(1);
-        let _span = incognito_obs::span("table.scan.time");
-        let mut tspan = incognito_obs::trace::span("table.scan").arg("rows", nrows as u64);
+        let mut span = incognito_obs::span("table.scan").arg("rows", nrows as u64);
         if shards > 1 {
-            tspan.set_arg("threads", shards as u64);
+            span.set_arg("threads", shards as u64);
             incognito_obs::incr("table.scan.parallel");
         }
         incognito_obs::incr("table.scan.count");
@@ -857,7 +854,7 @@ impl FrequencySet {
         let set = FrequencySet::from_parts(spec.clone(), space, counts, nrows as u64);
         incognito_obs::add(groups, set.groups as u64);
         incognito_obs::add(bytes, set.resident_bytes());
-        tspan.set_arg("groups", set.groups as u64);
+        span.set_arg("groups", set.groups as u64);
         set
     }
 
@@ -975,8 +972,7 @@ impl FrequencySet {
         space: KeySpace,
         remap: impl Fn(&[ValueId], &mut [ValueId]),
     ) -> FrequencySet {
-        let _span = incognito_obs::span(op.time);
-        let mut tspan = incognito_obs::trace::span(op.span).arg("groups_in", self.groups as u64);
+        let mut span = incognito_obs::span(op.span).arg("groups_in", self.groups as u64);
         // Output groups never outnumber input groups (both only merge).
         let acc = Counts::accumulator(&space, self.groups);
         if let Counts::Dense(slots) = &acc {
@@ -988,7 +984,7 @@ impl FrequencySet {
         incognito_obs::incr(op.count);
         incognito_obs::add(op.groups_in, self.groups as u64);
         incognito_obs::add(op.groups_out, out.groups as u64);
-        tspan.set_arg("groups_out", out.groups as u64);
+        span.set_arg("groups_out", out.groups as u64);
         out
     }
 

@@ -179,9 +179,8 @@ impl Table {
         levels: &[LevelNo],
         suppress: Option<(u64, &[usize])>,
     ) -> Result<(Table, u64), TableError> {
-        let _span = incognito_obs::span("table.generalize.time");
-        let mut tspan = incognito_obs::trace::span("table.generalize")
-            .arg("rows", self.num_rows() as u64);
+        let mut span =
+            incognito_obs::span("table.generalize").arg("rows", self.num_rows() as u64);
         if levels.len() != self.schema.arity() {
             return Err(TableError::RowArity {
                 expected: self.schema.arity(),
@@ -254,7 +253,7 @@ impl Table {
         let table = Table::from_columns(out_schema, out_cols)?;
         incognito_obs::incr("table.generalize.count");
         incognito_obs::add("table.generalize.rows_suppressed", suppressed);
-        tspan.set_arg("suppressed", suppressed);
+        span.set_arg("suppressed", suppressed);
         Ok((table, suppressed))
     }
 }

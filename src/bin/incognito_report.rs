@@ -13,11 +13,14 @@
 //! * `gate` pairs every `BENCH_*.json` in the baseline directory with the
 //!   same-named file in the candidate directory (default `results/`) and
 //!   fails when any gated metric regresses past the threshold (default
-//!   5%). Deterministic counters are always gated; timings only with
-//!   `--gate-timings`; allocation metrics (`memory.peak_live_bytes`,
-//!   `memory.allocated_bytes`, `memory.allocs`) only with `--memory`,
-//!   against their own `--mem-threshold` band (default 25% — peaks move
-//!   with allocator layout and scheduling, not just with the algorithm).
+//!   5%). Deterministic counters (`stats.*`, `generalizations`,
+//!   `minimal_height`, and the engine counters under `metrics.*`) are
+//!   always gated; timings (wall clocks, phases, span timers
+//!   `metrics.<span>.time`) only with `--gate-timings`; allocation
+//!   metrics (`memory.peak_live_bytes`, `memory.allocated_bytes`,
+//!   `memory.allocs`) only with `--memory`, against their own
+//!   `--mem-threshold` band (default 25% — peaks move with allocator
+//!   layout and scheduling, not just with the algorithm).
 //! * `explain` folds a `TRACE_*.json` Chrome trace back into the
 //!   per-iteration search plan and a span profile.
 //!

@@ -6,12 +6,14 @@
 //!   parameters plus per-run counters and timings;
 //! * [`diff`] pairs two reports run-by-run and yields per-metric deltas;
 //! * [`gate`] turns a diff into a pass/fail verdict against a threshold —
-//!   deterministic counters are always gated, wall-clock timings and
+//!   deterministic counters (search stats and the engine counters under
+//!   `metrics.*`) are always gated, wall-clock timings and
 //!   allocation accounting only on request (timings are noisy on shared
 //!   CI hardware; memory gets its own, wider tolerance band because peak
 //!   live bytes move with allocator and thread-scheduling details);
-//! * [`explain_trace`] folds a span tree back into the paper's Figure 12
-//!   style per-iteration table plus a self-time profile.
+//! * [`explain_trace`] folds a span tree back into the paper's §4.2
+//!   per-iteration accounting (checks by source, marks, survivors, wall
+//!   time) plus a self-time profile — the workspace's one explain fold.
 //!
 //! Everything round-trips through [`incognito_obs::Json`]; no external
 //! parser is involved.
@@ -20,7 +22,7 @@ use std::fmt;
 use std::fs;
 use std::path::Path;
 
-use incognito_obs::trace::{build_tree, profile, TraceRecord};
+use incognito_obs::trace::{build_tree, profile, TraceNode, TraceRecord};
 use incognito_obs::Json;
 
 /// Top-level report fields that identify the *recording*, not the
@@ -58,17 +60,20 @@ impl fmt::Display for RunKey {
 }
 
 /// One run's comparable metrics: integer counters (deterministic — node
-/// checks, marks, scans) and float timings (noisy — wall clock, phases).
+/// checks, marks, scans, engine counters) and float timings (noisy —
+/// wall clock, phases, span timers).
 #[derive(Debug, Clone)]
 pub struct Run {
     /// Who ran on what.
     pub key: RunKey,
-    /// Deterministic counters, e.g. `stats.nodes_checked`.
+    /// Deterministic counters, e.g. `stats.nodes_checked` or
+    /// `metrics.table.scan.count`.
     pub counters: Vec<(String, i64)>,
-    /// Wall-clock timings in seconds, e.g. `timings.scan_secs`.
+    /// Wall-clock timings in seconds, e.g. `timings.scan_secs` or
+    /// `metrics.table.scan.time` (a span timer's total).
     pub timings: Vec<(String, f64)>,
-    /// Allocation accounting, e.g. `memory.peak_live_bytes` (see
-    /// [`MEMORY_METRICS`]). Empty for reports written before the
+    /// Allocation accounting, e.g. `memory.peak_live_bytes` (the
+    /// comparable fields only). Empty for reports written before the
     /// tracking allocator existed.
     pub memory: Vec<(String, i64)>,
 }
@@ -78,9 +83,9 @@ pub struct Run {
 pub struct BenchDoc {
     /// The report name (`"fig09_datasets"`, ...).
     pub name: String,
-    /// Workload parameters: every top-level field that is not in
-    /// [`VOLATILE_FIELDS`], serialized compactly. Two reports must agree
-    /// on these to be gateable.
+    /// Workload parameters: every top-level field that does not identify
+    /// the recording (version, time, git, runs, memory), serialized
+    /// compactly. Two reports must agree on these to be gateable.
     pub workload: Vec<(String, String)>,
     /// The recorded runs, in file order.
     pub runs: Vec<Run>,
@@ -159,6 +164,17 @@ fn run_from_json(run: &Json) -> Result<Run, String> {
         for (name, value) in phases {
             if let Some(x) = as_f64(value) {
                 timings.push((format!("timings.{name}"), x));
+            }
+        }
+    }
+    // The engine metrics recorded during the run: counters and gauges are
+    // integers, each span's timer an object whose `total_ns` is a timing.
+    if let Some(Json::Obj(metrics)) = run.get("metrics") {
+        for (name, value) in metrics {
+            if let Some(x) = value.as_int() {
+                counters.push((format!("metrics.{name}"), x));
+            } else if let Some(ns) = value.get("total_ns").and_then(Json::as_int) {
+                timings.push((format!("metrics.{name}"), ns as f64 / 1e9));
             }
         }
     }
@@ -270,7 +286,7 @@ pub fn render_diff(
     threshold_pct: f64,
     memory_threshold_pct: f64,
 ) -> String {
-    let mut rows: Vec<[String; 5]> = Vec::new();
+    let mut rows: Vec<Vec<String>> = Vec::new();
     for d in deltas {
         if d.is_timing && !show_timings {
             continue;
@@ -297,7 +313,7 @@ pub fn render_diff(
         } else {
             ""
         };
-        rows.push([
+        rows.push(vec![
             format!("{} {}", d.key, d.metric),
             fmt_v(d.old),
             fmt_v(d.new),
@@ -308,9 +324,15 @@ pub fn render_diff(
     if rows.is_empty() {
         return "no metric movement\n".to_owned();
     }
-    let headers = ["run / metric", "old", "new", "delta", ""];
+    render_table(&["run / metric", "old", "new", "delta", ""], &rows)
+}
+
+/// Lay `rows` out under `headers` in aligned columns: the first column
+/// left-aligned, the others right-aligned, a rule under the headers. A
+/// one-cell row is a section heading, printed as is and not sized.
+fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
     let mut widths: Vec<usize> = headers.iter().map(|h| h.chars().count()).collect();
-    for row in &rows {
+    for row in rows.iter().filter(|r| r.len() > 1) {
         for (w, cell) in widths.iter_mut().zip(row) {
             *w = (*w).max(cell.chars().count());
         }
@@ -318,16 +340,13 @@ pub fn render_diff(
     let mut out = String::new();
     let line = |out: &mut String, cells: &[&str]| {
         for (i, (cell, w)) in cells.iter().zip(&widths).enumerate() {
-            if i > 0 {
-                out.push_str("  ");
-            }
-            // Left-align the name column, right-align numbers.
-            let pad = w.saturating_sub(cell.chars().count());
+            let pad = " ".repeat(w.saturating_sub(cell.chars().count()));
             if i == 0 {
                 out.push_str(cell);
-                out.push_str(&" ".repeat(pad));
+                out.push_str(&pad);
             } else {
-                out.push_str(&" ".repeat(pad));
+                out.push_str("  ");
+                out.push_str(&pad);
                 out.push_str(cell);
             }
         }
@@ -336,12 +355,17 @@ pub fn render_diff(
         }
         out.push('\n');
     };
-    line(&mut out, &headers);
+    line(&mut out, headers);
     out.push_str(&"-".repeat(widths.iter().sum::<usize>() + 2 * (widths.len() - 1)));
     out.push('\n');
-    for row in &rows {
-        let cells: Vec<&str> = row.iter().map(String::as_str).collect();
-        line(&mut out, &cells);
+    for row in rows {
+        if let [heading] = row.as_slice() {
+            out.push_str(heading);
+            out.push('\n');
+        } else {
+            let cells: Vec<&str> = row.iter().map(String::as_str).collect();
+            line(&mut out, &cells);
+        }
     }
     out
 }
@@ -462,165 +486,150 @@ fn fmt_ns(ns: u64) -> String {
     }
 }
 
-/// Fold a span tree back into a per-iteration search-plan table (the
-/// explain plan the `--trace` flag captured) followed by a self-time
+/// One iteration of a folded search plan, or the total of a search's
+/// iterations.
+#[derive(Default)]
+struct PlanRow {
+    label: String,
+    candidates: i64,
+    edges: i64,
+    /// Checks by frequency-set source: scan, rollup, superroot, cube.
+    checks: [u64; 4],
+    marked: i64,
+    anonymous: u64,
+    survivors: i64,
+    wall_ns: u64,
+}
+
+impl PlanRow {
+    /// Fold one `iteration`/`sql.iteration` span, counting the `check`
+    /// spans anywhere below it: directly under it when serial, under an
+    /// `exec.task` on the pool.
+    fn of_iteration(records: &[TraceRecord], node: &TraceNode) -> PlanRow {
+        let r = &records[node.index];
+        let int = |key: &str| arg_int(r, key).unwrap_or(0);
+        let mut row = PlanRow {
+            label: int("arity").to_string(),
+            candidates: int("candidates"),
+            edges: int("edges"),
+            marked: int("marked"),
+            survivors: int("survivors"),
+            wall_ns: r.dur_ns,
+            ..PlanRow::default()
+        };
+        let mut stack: Vec<&TraceNode> = node.children.iter().collect();
+        while let Some(n) = stack.pop() {
+            let c = &records[n.index];
+            if c.name == "check" || c.name == "sql.check" {
+                let via = arg_str(c, "via");
+                if let Some(i) = ["scan", "rollup", "superroot", "cube"]
+                    .iter()
+                    .position(|&s| via == Some(s))
+                {
+                    row.checks[i] += 1;
+                }
+                if c.args.iter().any(|(k, v)| k == "anonymous" && *v == Json::Bool(true)) {
+                    row.anonymous += 1;
+                }
+            }
+            stack.extend(&n.children);
+        }
+        row
+    }
+
+    /// Add `it` to this total; survivors are the last iteration's.
+    fn add(&mut self, it: &PlanRow) {
+        self.candidates += it.candidates;
+        self.edges += it.edges;
+        for (sum, n) in self.checks.iter_mut().zip(it.checks) {
+            *sum += n;
+        }
+        self.marked += it.marked;
+        self.anonymous += it.anonymous;
+        self.survivors = it.survivors;
+        self.wall_ns += it.wall_ns;
+    }
+
+    fn cells(&self) -> Vec<String> {
+        let mut cells =
+            vec![self.label.clone(), self.candidates.to_string(), self.edges.to_string()];
+        cells.extend(self.checks.iter().map(u64::to_string));
+        cells.extend([
+            self.marked.to_string(),
+            self.anonymous.to_string(),
+            self.survivors.to_string(),
+            fmt_ns(self.wall_ns),
+        ]);
+        cells
+    }
+}
+
+/// Fold a span tree back into the search plan the `--trace` flag
+/// captured — per search, one row per iteration with its candidates,
+/// edges, checks by frequency-set source, marks, anonymous checks,
+/// survivors and wall time, then a total row — followed by a self-time
 /// profile. Understands both the in-memory engine's span names
 /// (`iteration`/`check`) and the SQL path's (`sql.iteration`/`sql.check`).
 pub fn explain_trace(records: &[TraceRecord]) -> String {
+    let mut rows: Vec<Vec<String>> = Vec::new();
+    let mut total: Option<PlanRow> = None;
+    let close = |rows: &mut Vec<Vec<String>>, total: Option<PlanRow>| {
+        if let Some(t) = total {
+            rows.push(t.cells());
+        }
+    };
+    // Depth-first in span-open order. Each "search" opens a section
+    // labelled with its algo/k args.
     let forest = build_tree(records);
-    let mut out = String::new();
-
-    // Per-iteration rows, in span-open order. Each "search" root owns its
-    // iterations; label the section with the search's algo/k args.
-    let mut rows: Vec<[String; 9]> = Vec::new();
-    let mut stack: Vec<&incognito_obs::trace::TraceNode> = forest.iter().rev().collect();
+    let mut stack: Vec<&TraceNode> = forest.iter().rev().collect();
     while let Some(node) = stack.pop() {
         let r = &records[node.index];
         if r.name == "search" {
+            close(&mut rows, total.take());
             let algo = arg_str(r, "algo").unwrap_or("?");
-            let k = arg_int(r, "k").unwrap_or(0);
-            rows.push([
-                format!("— {algo} (k={k}) —"),
-                String::new(),
-                String::new(),
-                String::new(),
-                String::new(),
-                String::new(),
-                String::new(),
-                String::new(),
-                String::new(),
-            ]);
+            rows.push(vec![format!("— {algo} (k={}) —", arg_int(r, "k").unwrap_or(0))]);
         }
         if r.name == "iteration" || r.name == "sql.iteration" {
-            let mut by_source = [0i64; 4]; // scan, rollup, superroot, cube
-            let mut anonymous = 0i64;
-            for child in &node.children {
-                let c = &records[child.index];
-                if c.name != "check" && c.name != "sql.check" {
-                    continue;
-                }
-                match arg_str(c, "via") {
-                    Some("scan") => by_source[0] += 1,
-                    Some("rollup") => by_source[1] += 1,
-                    Some("superroot") => by_source[2] += 1,
-                    Some("cube") => by_source[3] += 1,
-                    _ => {}
-                }
-                if matches!(
-                    c.args.iter().find(|(k, _)| k == "anonymous"),
-                    Some((_, Json::Bool(true)))
-                ) {
-                    anonymous += 1;
-                }
-            }
-            rows.push([
-                arg_int(r, "arity").map_or_else(|| "?".into(), |v| v.to_string()),
-                arg_int(r, "candidates").map_or_else(|| "?".into(), |v| v.to_string()),
-                arg_int(r, "edges").map_or_else(|| "?".into(), |v| v.to_string()),
-                by_source[0].to_string(),
-                by_source[1].to_string(),
-                (by_source[2] + by_source[3]).to_string(),
-                anonymous.to_string(),
-                arg_int(r, "survivors").map_or_else(|| "?".into(), |v| v.to_string()),
-                fmt_ns(r.dur_ns),
-            ]);
+            let row = PlanRow::of_iteration(records, node);
+            total
+                .get_or_insert_with(|| PlanRow { label: "total".to_owned(), ..PlanRow::default() })
+                .add(&row);
+            rows.push(row.cells());
         }
         stack.extend(node.children.iter().rev());
     }
+    close(&mut rows, total);
 
-    let headers = ["iter", "cands", "edges", "scan", "rollup", "other", "anon", "surv", "wall"];
-    if rows.is_empty() {
-        out.push_str("no iteration spans in trace\n");
+    let mut out = if rows.iter().any(|r| r.len() > 1) {
+        render_table(
+            &[
+                "iter", "cands", "edges", "scan", "rollup", "sroot", "cube", "marked", "anon",
+                "surv", "wall",
+            ],
+            &rows,
+        )
     } else {
-        let mut widths: Vec<usize> = headers.iter().map(|h| h.chars().count()).collect();
-        for row in &rows {
-            // Section-header rows span the table; skip them when sizing.
-            if row[1].is_empty() {
-                continue;
-            }
-            for (w, cell) in widths.iter_mut().zip(row) {
-                *w = (*w).max(cell.chars().count());
-            }
-        }
-        for (i, (h, w)) in headers.iter().zip(&widths).enumerate() {
-            if i > 0 {
-                out.push_str("  ");
-            }
-            out.push_str(&" ".repeat(w.saturating_sub(h.chars().count())));
-            out.push_str(h);
-        }
-        out.push('\n');
-        out.push_str(&"-".repeat(widths.iter().sum::<usize>() + 2 * (widths.len() - 1)));
-        out.push('\n');
-        for row in &rows {
-            if row[1].is_empty() {
-                out.push_str(&row[0]);
-                out.push('\n');
-                continue;
-            }
-            for (i, (cell, w)) in row.iter().zip(&widths).enumerate() {
-                if i > 0 {
-                    out.push_str("  ");
-                }
-                out.push_str(&" ".repeat(w.saturating_sub(cell.chars().count())));
-                out.push_str(cell);
-            }
-            out.push('\n');
-        }
-    }
+        "no iteration spans in trace\n".to_owned()
+    };
 
     // Self-time profile: where did the wall clock actually go?
     let prof = profile(records);
     if !prof.is_empty() {
         out.push_str("\nspan profile (by total time):\n");
-        let mut prows: Vec<[String; 5]> = Vec::new();
-        for p in prof.iter().take(12) {
-            prows.push([
-                p.name.clone(),
-                p.count.to_string(),
-                fmt_ns(p.total_ns),
-                fmt_ns(p.self_ns),
-                fmt_ns(p.max_ns),
-            ]);
-        }
-        let pheaders = ["span", "count", "total", "self", "max"];
-        let mut widths: Vec<usize> = pheaders.iter().map(|h| h.chars().count()).collect();
-        for row in &prows {
-            for (w, cell) in widths.iter_mut().zip(row) {
-                *w = (*w).max(cell.chars().count());
-            }
-        }
-        for (i, (h, w)) in pheaders.iter().zip(&widths).enumerate() {
-            if i > 0 {
-                out.push_str("  ");
-            }
-            if i == 0 {
-                out.push_str(h);
-                out.push_str(&" ".repeat(w.saturating_sub(h.chars().count())));
-            } else {
-                out.push_str(&" ".repeat(w.saturating_sub(h.chars().count())));
-                out.push_str(h);
-            }
-        }
-        out.push('\n');
-        for row in &prows {
-            for (i, (cell, w)) in row.iter().zip(&widths).enumerate() {
-                if i > 0 {
-                    out.push_str("  ");
-                }
-                if i == 0 {
-                    out.push_str(cell);
-                    out.push_str(&" ".repeat(w.saturating_sub(cell.chars().count())));
-                } else {
-                    out.push_str(&" ".repeat(w.saturating_sub(cell.chars().count())));
-                    out.push_str(cell);
-                }
-            }
-            while out.ends_with(' ') {
-                out.pop();
-            }
-            out.push('\n');
-        }
+        let prows: Vec<Vec<String>> = prof
+            .iter()
+            .take(12)
+            .map(|p| {
+                vec![
+                    p.name.clone(),
+                    p.count.to_string(),
+                    fmt_ns(p.total_ns),
+                    fmt_ns(p.self_ns),
+                    fmt_ns(p.max_ns),
+                ]
+            })
+            .collect();
+        out.push_str(&render_table(&["span", "count", "total", "self", "max"], &prows));
     }
     out
 }
@@ -728,6 +737,24 @@ mod tests {
     }
 
     #[test]
+    fn run_metrics_read_as_counters_and_timings() {
+        let mut timer = Json::obj();
+        timer.set("count", 80i64);
+        timer.set("total_ns", 2_500_000_000i64);
+        let mut metrics = Json::obj();
+        metrics.set("table.scan.count", 80i64);
+        metrics.set("core.freq_cache.peak_bytes", 21_400i64);
+        metrics.set("table.scan.time", timer);
+        let mut run = Json::obj();
+        run.set("label", "Basic Incognito");
+        run.set("metrics", metrics);
+        let run = run_from_json(&run).unwrap();
+        assert!(run.counters.contains(&("metrics.table.scan.count".to_owned(), 80)));
+        assert!(run.counters.contains(&("metrics.core.freq_cache.peak_bytes".to_owned(), 21_400)));
+        assert_eq!(run.timings, vec![("metrics.table.scan.time".to_owned(), 2.5)]);
+    }
+
+    #[test]
     fn workload_mismatch_is_an_error_not_a_regression() {
         let old = doc("fig09", 1000, 100, 0.08);
         assert!(gate(&old, &doc("fig09", 2000, 100, 0.08), &cfg(5.0, false)).is_err());
@@ -770,6 +797,7 @@ mod tests {
                     ("arity", Json::Int(1)),
                     ("candidates", Json::Int(3)),
                     ("edges", Json::Int(2)),
+                    ("marked", Json::Int(1)),
                     ("survivors", Json::Int(3)),
                 ],
             ),
@@ -780,10 +808,12 @@ mod tests {
                 1_000,
                 vec![("via", "scan".into()), ("anonymous", Json::Bool(true))],
             ),
+            // A check run on the pool nests one level deeper.
+            mk("exec.task", 4, Some(2), 1_000, vec![]),
             mk(
                 "check",
-                4,
-                Some(2),
+                5,
+                Some(4),
                 1_000,
                 vec![("via", "rollup".into()), ("anonymous", Json::Bool(false))],
             ),
@@ -791,9 +821,13 @@ mod tests {
         let text = explain_trace(&records);
         assert!(text.contains("basic"), "{text}");
         let row = text.lines().find(|l| l.trim_start().starts_with('1')).unwrap();
-        // arity=1, 3 candidates, 2 edges, 1 scan, 1 rollup, 0 other, 1 anon, 3 survivors.
+        // arity=1, 3 candidates, 2 edges, 1 scan, 1 rollup, 0 sroot,
+        // 0 cube, 1 marked, 1 anon, 3 survivors.
         let cells: Vec<&str> = row.split_whitespace().collect();
-        assert_eq!(&cells[..8], &["1", "3", "2", "1", "1", "0", "1", "3"]);
+        assert_eq!(&cells[..10], &["1", "3", "2", "1", "1", "0", "0", "1", "1", "3"]);
+        let total = text.lines().find(|l| l.starts_with("total")).unwrap();
+        let cells: Vec<&str> = total.split_whitespace().collect();
+        assert_eq!(&cells[..10], &["total", "3", "2", "1", "1", "0", "0", "1", "1", "3"]);
         assert!(text.contains("span profile"), "{text}");
     }
 }

@@ -16,6 +16,12 @@ fn bench_doc(rows: i64, nodes_checked: i64, wall: f64) -> String {
 }
 
 fn bench_doc_with_peak(rows: i64, nodes_checked: i64, wall: f64, peak: i64) -> String {
+    bench_doc_with_scans(rows, nodes_checked, wall, peak, 80)
+}
+
+/// `scans` is the engine's `table.scan.count` counter in the run's
+/// `metrics` object, next to the `table.scan` span's timer.
+fn bench_doc_with_scans(rows: i64, nodes_checked: i64, wall: f64, peak: i64, scans: i64) -> String {
     let mut run = Json::obj();
     run.set("label", "Basic Incognito");
     run.set("dataset", "adults");
@@ -33,6 +39,13 @@ fn bench_doc_with_peak(rows: i64, nodes_checked: i64, wall: f64, peak: i64) -> S
     mem.set("allocated_bytes", 4 * peak);
     mem.set("allocs", 5_000i64);
     run.set("memory", mem);
+    let mut timer = Json::obj();
+    timer.set("count", scans);
+    timer.set("total_ns", (wall * 1e9) as i64);
+    let mut metrics = Json::obj();
+    metrics.set("table.scan.time", timer);
+    metrics.set("table.scan.count", scans);
+    run.set("metrics", metrics);
     let mut doc = Json::obj();
     doc.set("name", "gate_selftest");
     doc.set("report_version", 1i64);
@@ -171,6 +184,44 @@ fn diff_subcommand_prints_the_delta_table() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert_eq!(out.status.code(), Some(0), "{stdout}");
     assert!(stdout.contains("stats.nodes_checked") && stdout.contains("+20.0%"), "{stdout}");
+    fs::remove_dir_all(&tmp).unwrap();
+}
+
+#[test]
+fn engine_metric_counters_are_diffed_and_gated() {
+    let tmp: PathBuf =
+        std::env::temp_dir().join(format!("incognito_metrics_gate_test_{}", std::process::id()));
+    let baseline = tmp.join("baseline");
+    let candidate = tmp.join("candidate");
+    write_doc(&baseline, &bench_doc_with_scans(1000, 100, 0.010, 1_000_000, 80));
+
+    // +12.5% table scans with every other field unchanged: `diff` shows
+    // the counter move...
+    write_doc(&candidate, &bench_doc_with_scans(1000, 100, 0.010, 1_000_000, 90));
+    let out = Command::new(env!("CARGO_BIN_EXE_incognito-report"))
+        .args(["diff"])
+        .arg(baseline.join("BENCH_gate_selftest.json"))
+        .arg(candidate.join("BENCH_gate_selftest.json"))
+        .output()
+        .expect("spawn incognito-report");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "{stdout}");
+    assert!(stdout.contains("metrics.table.scan.count") && stdout.contains("+12.5%"), "{stdout}");
+
+    // ...and the gate fails on it at 5%, without --gate-timings.
+    let (code, stdout, stderr) = run_gate(&baseline, &candidate, "5");
+    assert_eq!(code, Some(1), "a metrics counter regression must fail\n{stdout}{stderr}");
+    assert!(stderr.contains("metrics.table.scan.count"), "{stderr}");
+
+    // The span timer is a timing: a slower scan alone passes by default
+    // and fails under --gate-timings.
+    write_doc(&candidate, &bench_doc_with_scans(1000, 100, 0.020, 1_000_000, 80));
+    let (code, _, _) = run_gate(&baseline, &candidate, "5");
+    assert_eq!(code, Some(0), "timers are not gated by default");
+    let (code, _, stderr) = run_gate_with(&baseline, &candidate, "5", &["--gate-timings"]);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(stderr.contains("metrics.table.scan.time"), "{stderr}");
+
     fs::remove_dir_all(&tmp).unwrap();
 }
 

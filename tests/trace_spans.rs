@@ -77,7 +77,7 @@ fn incognito_run_emits_nested_iteration_check_scan_spans() {
     assert!(rollups_under_checks > 0, "table.rollup spans nest under checks");
 
     // Candidate generation runs at the end of each iteration, under it.
-    let gen = records.iter().find(|r| r.name == "candidate.generate").expect("lattice spans");
+    let gen = records.iter().find(|r| r.name == "lattice.generate").expect("lattice spans");
     assert_eq!(find(gen.parent.unwrap()).name, "iteration");
 
     // The emitted Chrome JSON is well-formed and keeps the chain intact.
