@@ -14,7 +14,7 @@
 //! table, both are raised to their join until no overlap remains.
 
 use incognito_hierarchy::LevelNo;
-use incognito_table::fxhash::FxHashMap;
+use incognito_table::fxhash::{FxHashMap, FxHashSet};
 use incognito_table::{Schema, Table, TableError};
 
 use crate::release::{build_view_from_labels, subtree_sizes, AnonymizedRelease};
@@ -148,6 +148,13 @@ pub fn full_subgraph_anonymize(
 
 /// Raise nodes until no used node's subgraph contains a vector assigned to
 /// a different node — the full-subgraph validity invariant.
+///
+/// Each pass maps every vector to its image once per distinct level
+/// vector in use, not once per used node: a vector lies in the subgraph
+/// of a node at levels `nl` exactly when its image at `nl` is the image
+/// of a vector assigned `nl`. A pass only raises levels to component-wise
+/// maxima over a set of nodes fixed at its start, so the order the nodes
+/// are visited in does not change its outcome.
 fn resolve_overlaps(
     schema: &Schema,
     qi: &[usize],
@@ -162,23 +169,19 @@ fn resolve_overlaps(
     };
     loop {
         let mut changed = false;
-        // Collect used nodes.
-        let mut nodes: FxHashMap<(Vec<LevelNo>, Vec<u32>), Vec<usize>> = FxHashMap::default();
-        for (i, v) in vectors.iter().enumerate() {
-            nodes
-                .entry((levels[i].clone(), image(v, &levels[i])))
-                .or_default()
-                .push(i);
+        // The used nodes: the images of the vectors at each level vector.
+        let mut nodes: FxHashMap<Vec<LevelNo>, FxHashSet<Vec<u32>>> = FxHashMap::default();
+        for (v, ls) in vectors.iter().zip(levels.iter()) {
+            nodes.entry(ls.clone()).or_default().insert(image(v, ls));
         }
-        let node_list: Vec<(Vec<LevelNo>, Vec<u32>)> = nodes.keys().cloned().collect();
-        for (nl, nv) in &node_list {
-            for (i, v) in vectors.iter().enumerate() {
-                // Is vector i inside this node's subgraph but assigned
-                // elsewhere?
-                if &levels[i] != nl && image(v, nl) == *nv {
+        for (nl, images) in &nodes {
+            for (v, ls) in vectors.iter().zip(levels.iter_mut()) {
+                // Is this vector inside a node's subgraph at `nl` but
+                // assigned elsewhere?
+                if ls != nl && images.contains(&image(v, nl)) {
                     // Join: component-wise max levels.
-                    for (pos, l) in levels[i].iter_mut().enumerate() {
-                        *l = (*l).max(nl[pos]);
+                    for (l, &n) in ls.iter_mut().zip(nl) {
+                        *l = (*l).max(n);
                     }
                     changed = true;
                 }

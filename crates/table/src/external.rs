@@ -33,8 +33,8 @@ use std::sync::OnceLock;
 use incognito_hierarchy::{LevelNo, ValueId};
 
 use crate::freq::{
-    blocks, project_digits, rollup_digits, CodeKernel, Counts, GroupKey, GroupSpec, KeySpace,
-    SCAN_BLOCK_ROWS,
+    blocks, project_digits, rollup_digits, row_digits, CodeKernel, Counts, GroupKey, GroupSpec,
+    KeySpace, SCAN_BLOCK_ROWS,
 };
 use crate::fxhash::FxBuildHasher;
 use crate::schema::Schema;
@@ -251,14 +251,7 @@ impl ExternalFrequencySet {
             .arg("rows", table.num_rows() as u64)
             .arg("partitions", num_partitions as u64);
 
-        let schema = table.schema();
-        let maps: Vec<&[ValueId]> = spec
-            .parts()
-            .iter()
-            .map(|&(a, l)| schema.hierarchy(a).map_to_level(l))
-            .collect();
-        let cols: Vec<&[ValueId]> = spec.parts().iter().map(|&(a, _)| table.column(a)).collect();
-        let space = KeySpace::for_spec(schema, spec);
+        let space = KeySpace::for_spec(table.schema(), spec);
 
         let partitions: Vec<PathBuf> =
             (0..num_partitions).map(|p| dir.join(format!("part-{p}.bin"))).collect();
@@ -267,7 +260,7 @@ impl ExternalFrequencySet {
             let mut buf = Vec::new();
             let rows = 0..table.num_rows();
             if space.is_packable() {
-                let kernel = CodeKernel::new(&cols, &maps, &space);
+                let kernel = CodeKernel::new(table, spec, &space);
                 let mut codes = [0u64; SCAN_BLOCK_ROWS];
                 for block in blocks(rows) {
                     for &code in kernel.codes(block, &mut codes) {
@@ -276,11 +269,10 @@ impl ExternalFrequencySet {
                     }
                 }
             } else {
+                let digits_of = row_digits(table, spec);
                 let mut digits = vec![0 as ValueId; spec.len()];
                 for row in rows {
-                    for ((d, col), map) in digits.iter_mut().zip(&cols).zip(&maps) {
-                        *d = map[col[row] as usize];
-                    }
+                    digits_of(row, &mut digits);
                     let part = encode_record(&mut buf, &space, &digits, 1, num_partitions);
                     writers.write(part, &buf)?;
                 }

@@ -25,7 +25,7 @@
 
 use std::cmp::Ordering;
 use std::hash::{Hash, Hasher};
-use std::ops::Range;
+use std::ops::{AddAssign, Mul, Range};
 use std::sync::Arc;
 
 use incognito_hierarchy::{LevelNo, ValueId};
@@ -383,53 +383,122 @@ pub(crate) fn blocks(rows: Range<usize>) -> impl Iterator<Item = Range<usize>> {
     rows.clone().step_by(SCAN_BLOCK_ROWS).map(move |s| s..rows.end.min(s + SCAN_BLOCK_ROWS))
 }
 
+/// How the kernel reads one key part's digits.
+#[derive(Clone, Copy)]
+enum Digits<'a> {
+    /// A part at ground level: the id column holds the digits.
+    Ground(&'a [ValueId]),
+    /// A part whose level has at most 256 values: its byte level column
+    /// ([`Table::level_column`]).
+    Bytes(&'a [u8]),
+    /// Any other part: the id column, gathered through the γ map.
+    Gather(&'a [ValueId], &'a [ValueId]),
+}
+
+/// The width of a kernel's codes: `u32` for dense spaces (at most 2¹⁶
+/// slots), `u64` for runs and spill records.
+pub(crate) trait Code:
+    Copy + Default + From<u8> + From<u32> + TryFrom<u64> + Mul<Output = Self> + AddAssign
+{
+}
+
+impl Code for u32 {}
+impl Code for u64 {}
+
 /// The row → code kernel of a packable key space, one column at a time:
-/// each part's column, γ map and stride, without the parts whose level
-/// has a single value. Such a part's digit is always 0, so it adds
-/// nothing to any code, and the other parts keep their strides: codes
-/// are identical to packing every part.
+/// each part's digits and stride, without the parts whose level has a
+/// single value. Such a part's digit is always 0, so it adds nothing to
+/// any code, and the other parts keep their strides: codes are identical
+/// to packing every part.
 pub(crate) struct CodeKernel<'a> {
-    terms: Vec<(&'a [ValueId], &'a [ValueId], u64)>,
+    terms: Vec<(Digits<'a>, u64)>,
 }
 
 impl<'a> CodeKernel<'a> {
-    /// The kernel for rows of `cols`, mapped through `maps`, over `space`
-    /// (one column and map per part; the space must be packable).
-    pub(crate) fn new(cols: &[&'a [ValueId]], maps: &[&'a [ValueId]], space: &KeySpace) -> Self {
+    /// The kernel for `table`'s rows grouped by `spec` over its packable
+    /// `space`; builds the byte level columns it reads on first use.
+    pub(crate) fn new(table: &'a Table, spec: &GroupSpec, space: &KeySpace) -> Self {
         debug_assert!(space.is_packable());
-        let terms = cols
+        let terms = spec
+            .parts
             .iter()
-            .zip(maps)
             .zip(space.dims.iter().zip(&space.strides))
             .filter(|&(_, (&dim, _))| dim > 1)
-            .map(|((&col, &map), (_, &stride))| (col, map, stride))
+            .map(|(&(a, l), (_, &stride))| {
+                let digits = if l == 0 {
+                    Digits::Ground(table.column(a))
+                } else if let Some(bytes) = table.level_column(a, l) {
+                    Digits::Bytes(bytes)
+                } else {
+                    Digits::Gather(table.column(a), table.schema().hierarchy(a).map_to_level(l))
+                };
+                (digits, stride)
+            })
             .collect();
         CodeKernel { terms }
     }
 
     /// The codes of `block` (at most [`SCAN_BLOCK_ROWS`] rows), written
-    /// into the head of `buf`: the first part assigns its term, and every
-    /// other part adds its own in a pass of its own.
-    pub(crate) fn codes<'b>(
+    /// into the head of `buf`, in a width `C` that holds every code of
+    /// the space: the first part assigns its term, and every other part
+    /// adds its own in a pass of its own.
+    pub(crate) fn codes<'b, C: Code>(
         &self,
         block: Range<usize>,
-        buf: &'b mut [u64; SCAN_BLOCK_ROWS],
-    ) -> &'b [u64] {
+        buf: &'b mut [C; SCAN_BLOCK_ROWS],
+    ) -> &'b [C] {
         let out = &mut buf[..block.len()];
         match self.terms.split_first() {
-            None => out.fill(0),
-            Some((&(col, map, stride), rest)) => {
-                for (c, &v) in out.iter_mut().zip(&col[block.clone()]) {
-                    *c = map[v as usize] as u64 * stride;
-                }
-                for &(col, map, stride) in rest {
-                    for (c, &v) in out.iter_mut().zip(&col[block.clone()]) {
-                        *c += map[v as usize] as u64 * stride;
-                    }
+            None => out.fill(C::default()),
+            Some((&first, rest)) => {
+                each_term(first, block.clone(), out, |c, t| *c = t);
+                for &term in rest {
+                    each_term(term, block.clone(), out, |c, t| *c += t);
                 }
             }
         }
         out
+    }
+}
+
+/// Combine `out[i]` with part `digits`' term (digit × `stride`) for row
+/// `rows.start + i` through `f`. With no gather, the loop vectorizes.
+fn each_term<C: Code>(
+    (digits, stride): (Digits<'_>, u64),
+    rows: Range<usize>,
+    out: &mut [C],
+    f: impl Fn(&mut C, C),
+) {
+    let stride = C::try_from(stride).ok().expect("the code width holds the space");
+    match digits {
+        Digits::Ground(col) => {
+            out.iter_mut().zip(&col[rows]).for_each(|(c, &v)| f(c, C::from(v) * stride))
+        }
+        Digits::Bytes(col) => {
+            out.iter_mut().zip(&col[rows]).for_each(|(c, &v)| f(c, C::from(v) * stride))
+        }
+        Digits::Gather(col, map) => out
+            .iter_mut()
+            .zip(&col[rows])
+            .for_each(|(c, &v)| f(c, C::from(map[v as usize]) * stride)),
+    }
+}
+
+/// Writes a row's digits, every part gathered through its γ map: the
+/// per-row path of spaces too wide to pack, whose keys hold every part.
+pub(crate) fn row_digits<'a>(
+    table: &'a Table,
+    spec: &GroupSpec,
+) -> impl Fn(usize, &mut [ValueId]) + 'a {
+    let parts: Vec<(&[ValueId], &[ValueId])> = spec
+        .parts
+        .iter()
+        .map(|&(a, l)| (table.column(a), table.schema().hierarchy(a).map_to_level(l)))
+        .collect();
+    move |row, digits| {
+        for (d, (col, map)) in digits.iter_mut().zip(&parts) {
+            *d = map[col[row] as usize];
+        }
     }
 }
 
@@ -729,24 +798,25 @@ impl FrequencySet {
         FrequencySet { spec, space, counts, groups, total }
     }
 
-    /// Aggregate one contiguous row range into the empty accumulator
-    /// `counts`, with the kernel its form selects: block by block into a
-    /// flat dense array or into codes that are sorted and counted into a
-    /// run, or row by row into [`GroupKey`]s sorted the same way. All
-    /// three produce identical counts.
+    /// Aggregate one contiguous row range of `table` into the empty
+    /// accumulator `counts`, with the kernel its form selects: block by
+    /// block into a flat dense array (`u32` codes) or into `u64` codes
+    /// that are sorted and counted into a run, or row by row into
+    /// [`GroupKey`]s sorted the same way. All three produce identical
+    /// counts.
     fn scan_rows(
-        cols: &[&[ValueId]],
-        maps: &[&[ValueId]],
+        table: &Table,
+        spec: &GroupSpec,
         rows: Range<usize>,
         space: &KeySpace,
         mut counts: Counts,
     ) -> Counts {
-        let mut buf = [0u64; SCAN_BLOCK_ROWS];
         match &mut counts {
             Counts::Dense(slots) => {
                 incognito_obs::incr("table.scan.dense");
                 incognito_obs::add("table.kernel.dense.slot_bytes", slots.len() as u64 * 8);
-                let kernel = CodeKernel::new(cols, maps, space);
+                let kernel = CodeKernel::new(table, spec, space);
+                let mut buf = [0u32; SCAN_BLOCK_ROWS];
                 if slots.len() <= SPLIT_MAX_SLOTS {
                     // Four histograms, one per row of every four: a run of
                     // one group's rows then increments four different
@@ -777,7 +847,8 @@ impl FrequencySet {
             }
             Counts::Codes(run) => {
                 incognito_obs::incr("table.scan.packed");
-                let kernel = CodeKernel::new(cols, maps, space);
+                let kernel = CodeKernel::new(table, spec, space);
+                let mut buf = [0u64; SCAN_BLOCK_ROWS];
                 let mut codes = Vec::with_capacity(rows.len());
                 for block in blocks(rows) {
                     codes.extend_from_slice(kernel.codes(block, &mut buf));
@@ -786,13 +857,13 @@ impl FrequencySet {
                 *run = run_of_sorted(&codes);
             }
             Counts::Keys(run) => {
+                let digits_of = row_digits(table, spec);
+                let mut buf = [0 as ValueId; MAX_KEY_ATTRS];
+                let digits = &mut buf[..spec.len()];
                 let mut keys: Vec<GroupKey> = rows
                     .map(|row| {
-                        let mut key = GroupKey::default();
-                        for (col, map) in cols.iter().zip(maps) {
-                            key.push(map[col[row] as usize]);
-                        }
-                        key
+                        digits_of(row, digits);
+                        GroupKey::from_slice(digits)
                     })
                     .collect();
                 keys.sort_unstable();
@@ -820,15 +891,11 @@ impl FrequencySet {
         }
         incognito_obs::incr("table.scan.count");
         incognito_obs::add("table.scan.rows", nrows as u64);
-        let schema = table.schema();
-        let maps: Vec<&[ValueId]> =
-            spec.parts.iter().map(|&(a, l)| schema.hierarchy(a).map_to_level(l)).collect();
-        let cols: Vec<&[ValueId]> = spec.parts.iter().map(|&(a, _)| table.column(a)).collect();
-        let space = KeySpace::for_spec(schema, spec);
+        let space = KeySpace::for_spec(table.schema(), spec);
         // Every shard starts from the form the whole scan would pick, so
         // the shards merge like for like.
         let shard = |rows: Range<usize>| {
-            Self::scan_rows(&cols, &maps, rows, &space, Counts::accumulator(&space, nrows))
+            Self::scan_rows(table, spec, rows, &space, Counts::accumulator(&space, nrows))
         };
         let counts = if shards > 1 {
             let mut parts = incognito_exec::shared(threads).parallel_for_chunks(
@@ -1238,16 +1305,12 @@ pub(crate) mod tests {
     /// check each against a brute-force count, both as raw accumulators
     /// and once settled. Returns the number of distinct groups.
     fn assert_tiers_agree(t: &Table, spec: &GroupSpec) -> usize {
-        let schema = t.schema();
-        let maps: Vec<&[ValueId]> =
-            spec.parts.iter().map(|&(a, l)| schema.hierarchy(a).map_to_level(l)).collect();
-        let cols: Vec<&[ValueId]> = spec.parts.iter().map(|&(a, _)| t.column(a)).collect();
-        let space = KeySpace::for_spec(schema, spec);
+        let space = KeySpace::for_spec(t.schema(), spec);
         let nrows = t.num_rows();
         let expected = brute(t, spec);
         for acc in forms(&space) {
             let tier = acc.tier();
-            let got = FrequencySet::scan_rows(&cols, &maps, 0..nrows, &space, acc);
+            let got = FrequencySet::scan_rows(t, spec, 0..nrows, &space, acc);
             assert_eq!(groups_of(&got, &space), expected, "{tier} kernel diverged");
             let set = FrequencySet::from_parts(spec.clone(), space.clone(), got, nrows as u64);
             assert_eq!(set.num_groups(), expected.len(), "{tier}");
@@ -1496,14 +1559,11 @@ pub(crate) mod tests {
             let space = KeySpace::for_spec(schema, &spec);
             let single: Vec<usize> = (0..space.arity()).filter(|&i| space.dims[i] == 1).collect();
             assert_eq!(single, ones, "{spec:?}");
-            let maps: Vec<&[ValueId]> =
-                spec.parts.iter().map(|&(a, l)| schema.hierarchy(a).map_to_level(l)).collect();
-            let cols: Vec<&[ValueId]> = spec.parts.iter().map(|&(a, _)| t.column(a)).collect();
             for rows in ranges.clone() {
                 let expected = brute_rows(t, &spec, rows.clone());
                 for acc in forms(&space) {
                     let tier = acc.tier();
-                    let got = FrequencySet::scan_rows(&cols, &maps, rows.clone(), &space, acc);
+                    let got = FrequencySet::scan_rows(t, &spec, rows.clone(), &space, acc);
                     assert_eq!(groups_of(&got, &space), expected, "{spec:?} {tier} {rows:?}");
                 }
             }
@@ -1921,5 +1981,125 @@ pub(crate) mod tests {
             assert_eq!(set.count(&key), 0, "{key:?}");
         }
         assert_eq!(set.count(&first), set.iter().next().unwrap().1);
+    }
+
+    /// A hierarchy over 514 ground values whose levels give the kernel
+    /// every term kind: 514 (ground), 257 (gathered), 256 (a byte column
+    /// at its limit), 2 (a byte column) and 1 (left out).
+    fn term_hierarchy(name: &str) -> incognito_hierarchy::Hierarchy {
+        let sizes = [514u32, 257, 256, 2, 1];
+        let levels = sizes
+            .iter()
+            .enumerate()
+            .map(|(l, &n)| (0..n).map(|i| format!("{l}:{i}")).collect())
+            .collect();
+        let maps = sizes
+            .windows(2)
+            .map(|w| (0..w[0]).map(|i| (i * w[1] / w[0]).min(w[1] - 1)).collect())
+            .collect();
+        incognito_hierarchy::Hierarchy::from_levels(name, levels, maps).unwrap()
+    }
+
+    /// `rows` rows over a 7-value suppression attribute `g` and two
+    /// [`term_hierarchy`] attributes `e` and `f`, values spread by
+    /// [`mix`].
+    fn term_table(rows: u32) -> Table {
+        let g: Vec<String> = (0..7).map(|i| format!("g{i}")).collect();
+        let g: Vec<&str> = g.iter().map(String::as_str).collect();
+        let schema = Schema::new(vec![
+            Attribute::new("g", builders::suppression("g", &g).unwrap()),
+            Attribute::new("e", term_hierarchy("e")),
+            Attribute::new("f", term_hierarchy("f")),
+        ])
+        .unwrap();
+        let cols = [7u64, 514, 514]
+            .iter()
+            .enumerate()
+            .map(|(j, &n)| {
+                (0..rows).map(|i| (mix(u64::from(i) << 2 | j as u64) % n) as u32).collect()
+            })
+            .collect();
+        Table::from_columns(schema, cols).unwrap()
+    }
+
+    /// The term kind the kernel reads each non-constant part with.
+    fn term_kinds(kernel: &CodeKernel) -> Vec<&'static str> {
+        let kind = |d: &Digits| match d {
+            Digits::Ground(_) => "ground",
+            Digits::Bytes(_) => "bytes",
+            Digits::Gather(..) => "gather",
+        };
+        kernel.terms.iter().map(|(d, _)| kind(d)).collect()
+    }
+
+    #[test]
+    fn kernel_terms_match_brute_force_in_every_form() {
+        const B: usize = SCAN_BLOCK_ROWS;
+        let t = term_table(3 * B as u32 + 24);
+        let n = t.num_rows();
+        let ranges = [0..1, 0..B - 1, 0..B, 0..B + 1, 0..n, 3..n - 2, B - 1..2 * B + 1];
+        // Specs with the term kinds of their non-constant parts, over
+        // dense spaces (with and without the four-histogram split) and a
+        // packed one.
+        type Case = (Vec<(usize, LevelNo)>, &'static [&'static str]);
+        let cases: [Case; 7] = [
+            (vec![(0, 0), (1, 2)], &["ground", "bytes"]),
+            (vec![(1, 1), (0, 1)], &["gather"]),
+            (vec![(2, 3), (1, 2), (0, 0)], &["bytes", "bytes", "ground"]),
+            (vec![(1, 4), (2, 3), (0, 1)], &["bytes"]),
+            (vec![(0, 1), (1, 4)], &[]),
+            (vec![(0, 0), (1, 2), (2, 1)], &["ground", "bytes", "gather"]),
+            (vec![(1, 0), (2, 3)], &["ground", "bytes"]),
+        ];
+        for (parts, kinds) in cases {
+            let spec = GroupSpec::new(parts).unwrap();
+            let space = KeySpace::for_spec(t.schema(), &spec);
+            assert_eq!(term_kinds(&CodeKernel::new(&t, &spec, &space)), kinds, "{spec:?}");
+            for rows in ranges.clone() {
+                let expected = brute_rows(&t, &spec, rows.clone());
+                for acc in forms(&space) {
+                    let tier = acc.tier();
+                    let got = FrequencySet::scan_rows(&t, &spec, rows.clone(), &space, acc);
+                    assert_eq!(groups_of(&got, &space), expected, "{spec:?} {tier} {rows:?}");
+                }
+            }
+            let expected = brute(&t, &spec);
+            let par = t.frequency_set_parallel(&spec, 4).unwrap();
+            assert_eq!(par.iter().collect::<BTreeMap<_, _>>(), expected, "{spec:?} threads 4");
+            let ext = crate::ExternalFrequencySet::build(&t, &spec, 5, &std::env::temp_dir())
+                .unwrap()
+                .into_frequency_set()
+                .unwrap();
+            assert_eq!(ext.iter().collect::<BTreeMap<_, _>>(), expected, "{spec:?} spilled");
+        }
+    }
+
+    #[test]
+    fn level_columns_are_rebuilt_after_rows_are_appended() {
+        let mut t = term_table(2 * SCAN_BLOCK_ROWS as u32 + 5);
+        let spec = GroupSpec::new(vec![(0, 0), (1, 2), (2, 3)]).unwrap();
+        let space = KeySpace::for_spec(t.schema(), &spec);
+        assert_eq!(term_kinds(&CodeKernel::new(&t, &spec, &space)), ["ground", "bytes", "bytes"]);
+        let map = t.schema().hierarchy(1).map_to_level(2);
+        let bytes = t.level_column(1, 2).unwrap();
+        assert!(t.column(1).iter().zip(bytes).all(|(&v, &b)| map[v as usize] == u32::from(b)));
+        assert_eq!(t.level_column(1, 0), None);
+        assert_eq!(t.level_column(1, 1), None, "257 values take a gather");
+        assert_eq!(t.level_column(1, 4), None, "one value is left out");
+        let before = t.frequency_set(&spec).unwrap();
+        assert_eq!(before.iter().collect::<BTreeMap<_, _>>(), brute(&t, &spec));
+
+        // Grow the table through both appends: the scans after each must
+        // count the new rows, which no byte column built before covers.
+        t.push_row(&["g3", "0:513", "0:0"]).unwrap();
+        let after_row = t.frequency_set(&spec).unwrap();
+        assert_eq!(after_row.total(), before.total() + 1);
+        assert_eq!(after_row.iter().collect::<BTreeMap<_, _>>(), brute(&t, &spec));
+        for _ in 0..SCAN_BLOCK_ROWS {
+            t.push_ids(&[6, 200, 511]).unwrap();
+        }
+        let after_ids = t.frequency_set_parallel(&spec, 4).unwrap();
+        assert_eq!(after_ids.total(), t.num_rows() as u64);
+        assert_eq!(after_ids.iter().collect::<BTreeMap<_, _>>(), brute(&t, &spec));
     }
 }

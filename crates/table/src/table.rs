@@ -1,4 +1,4 @@
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use incognito_hierarchy::{LevelNo, ValueId};
 
@@ -13,18 +13,38 @@ use crate::TableError;
 /// hierarchy dictionary. This is the substrate on which frequency sets —
 /// `SELECT COUNT(*) ... GROUP BY ...` in the paper's DB2 implementation —
 /// are computed.
+///
+/// Scans also read *level columns*: for an attribute level above ground
+/// with 2–256 values, the column's ids mapped through γ to that level,
+/// one byte per row — the star schema's dimension join done once per
+/// table instead of once per scan. Each is built on first use and
+/// dropped when a row is appended.
 #[derive(Debug, Clone)]
 pub struct Table {
     schema: Arc<Schema>,
     /// One column per attribute; all columns have equal length.
     columns: Vec<Vec<ValueId>>,
+    /// `level_columns[a][l - 1]`: attribute `a`'s level-`l` column, once
+    /// built (see [`Table::level_column`]).
+    level_columns: Vec<Vec<OnceLock<Box<[u8]>>>>,
+}
+
+/// Most values a level may have to get a byte column.
+const LEVEL_COLUMN_MAX_VALUES: usize = 1 << u8::BITS;
+
+/// One empty level-column slot per level above ground of every attribute.
+fn no_level_columns(schema: &Schema) -> Vec<Vec<OnceLock<Box<[u8]>>>> {
+    (0..schema.arity())
+        .map(|a| (0..schema.hierarchy(a).height()).map(|_| OnceLock::new()).collect())
+        .collect()
 }
 
 impl Table {
     /// Create an empty table over `schema`.
     pub fn empty(schema: Arc<Schema>) -> Self {
         let columns = (0..schema.arity()).map(|_| Vec::new()).collect();
-        Table { schema, columns }
+        let level_columns = no_level_columns(&schema);
+        Table { schema, columns, level_columns }
     }
 
     /// Build a table from pre-encoded columns.
@@ -56,7 +76,8 @@ impl Table {
         incognito_obs::add("table.build.rows", nrows as u64);
         let dict: usize = (0..schema.arity()).map(|i| schema.hierarchy(i).ground_size()).sum();
         incognito_obs::add("table.build.dict_values", dict as u64);
-        Ok(Table { schema, columns })
+        let level_columns = no_level_columns(&schema);
+        Ok(Table { schema, columns, level_columns })
     }
 
     /// Append a row given as labels, resolving each against the attribute's
@@ -82,6 +103,7 @@ impl Table {
         for (col, id) in self.columns.iter_mut().zip(ids) {
             col.push(id);
         }
+        self.drop_level_columns();
         Ok(())
     }
 
@@ -103,7 +125,15 @@ impl Table {
         for (col, &id) in self.columns.iter_mut().zip(ids) {
             col.push(id);
         }
+        self.drop_level_columns();
         Ok(())
+    }
+
+    /// Forget every built level column: they no longer cover every row.
+    fn drop_level_columns(&mut self) {
+        for column in self.level_columns.iter_mut().flatten() {
+            column.take();
+        }
     }
 
     /// The schema.
@@ -122,6 +152,29 @@ impl Table {
     /// Panics if `idx` is out of range.
     pub fn column(&self, idx: usize) -> &[ValueId] {
         &self.columns[idx]
+    }
+
+    /// Attribute `attr`'s ids at `level`, one byte per row, when the level
+    /// is above ground and has 2–256 values; `None` otherwise. Built on
+    /// first use (counted in `table.level_columns.{count,bytes}`) and
+    /// kept until a row is appended.
+    ///
+    /// # Panics
+    /// Panics if `attr` or `level` is out of range.
+    pub(crate) fn level_column(&self, attr: usize, level: LevelNo) -> Option<&[u8]> {
+        let h = self.schema.hierarchy(attr);
+        if level == 0 || !(2..=LEVEL_COLUMN_MAX_VALUES).contains(&h.level_size(level)) {
+            return None;
+        }
+        let column = self.level_columns[attr][level as usize - 1].get_or_init(|| {
+            let map = h.map_to_level(level);
+            let column: Box<[u8]> =
+                self.columns[attr].iter().map(|&v| map[v as usize] as u8).collect();
+            incognito_obs::incr("table.level_columns.count");
+            incognito_obs::add("table.level_columns.bytes", column.len() as u64);
+            column
+        });
+        Some(column)
     }
 
     /// Decode cell `(row, attr)` to its ground label.

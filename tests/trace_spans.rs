@@ -2,8 +2,10 @@
 //! Incognito with tracing enabled must produce a Chrome-trace span
 //! forest nesting search → iteration → node-check → table scan/rollup.
 //!
-//! Trace collection is process-global, so this file holds exactly one
-//! test function.
+//! The chain checked here is the in-memory one, so the run lifts any
+//! environment memory budget (`INCOGNITO_MEM_BUDGET`); the spilled chain
+//! is `tests/trace_spans_spilled.rs`. Trace collection is process-global,
+//! so this file holds exactly one test function.
 
 use incognito::algo::{incognito as run_incognito, Config};
 use incognito::data::patients;
@@ -15,7 +17,8 @@ fn incognito_run_emits_nested_iteration_check_scan_spans() {
     trace::clear();
     trace::set_enabled(true);
     let table = patients();
-    let result = run_incognito(&table, &[0, 1, 2], &Config::new(2)).expect("valid workload");
+    let cfg = Config::new(2).with_unlimited_memory();
+    let result = run_incognito(&table, &[0, 1, 2], &cfg).expect("valid workload");
     trace::set_enabled(false);
     let records = trace::drain();
     assert!(!result.generalizations().is_empty());
