@@ -32,10 +32,29 @@ use incognito_table::{ExternalFrequencySet, FrequencySet, GroupSpec, Schema, Tab
 
 use crate::{AlgoError, Config};
 
-/// Spill fan-out for provider-built external sets: enough partitions that
-/// one partition's distinct groups stay small, few enough that the
+/// Most partitions of a provider-built external set: enough that one
+/// partition's distinct groups stay small, few enough that the
 /// per-partition write buffers stay useful.
 const SPILL_PARTITIONS: usize = 64;
+
+/// Groups a set can have per partition of its fan-out.
+const GROUPS_PER_PARTITION: u64 = 4096;
+
+/// The spill fan-out of a set that can have at most `slots` groups (its
+/// key space) over a table of `rows` rows: one partition per
+/// [`GROUPS_PER_PARTITION`] of the fewer, between 1 and
+/// [`SPILL_PARTITIONS`]. A small set then costs a few files, not 64.
+fn spill_partitions(slots: u64, rows: usize) -> usize {
+    let groups = slots.min(rows as u64);
+    groups.div_ceil(GROUPS_PER_PARTITION).clamp(1, SPILL_PARTITIONS as u64) as usize
+}
+
+/// The number of slots of `spec`'s key space, saturating at `u64::MAX`.
+fn key_slots(schema: &Schema, spec: &GroupSpec) -> u64 {
+    spec.parts().iter().fold(1u64, |slots, &(a, l)| {
+        slots.saturating_mul(schema.hierarchy(a).level_size(l) as u64)
+    })
+}
 
 /// A frequency set in whichever representation the memory budget allowed:
 /// fully in memory, or spilled to hash partitions on disk.
@@ -172,8 +191,9 @@ impl<'t> FreqProvider<'t> {
     /// meaningful for the in-memory representation).
     pub fn scan(&self, spec: &GroupSpec, threads: usize) -> Result<FreqHandle, AlgoError> {
         if self.over_budget() {
-            let ext =
-                ExternalFrequencySet::build(self.table, spec, SPILL_PARTITIONS, &self.spill_root)?;
+            let slots = key_slots(self.table.schema(), spec);
+            let partitions = spill_partitions(slots, self.table.num_rows());
+            let ext = ExternalFrequencySet::build(self.table, spec, partitions, &self.spill_root)?;
             Ok(FreqHandle::Ext(ext))
         } else if threads > 1 {
             Ok(FreqHandle::Mem(self.table.frequency_set_parallel(spec, threads)?))
@@ -246,6 +266,30 @@ mod tests {
             FreqHandle::Mem(f) => f.to_labeled_rows(schema),
             FreqHandle::Ext(_) => panic!("expected in-memory handle"),
         }
+    }
+
+    #[test]
+    fn spill_fan_out_follows_the_groups_a_set_can_have() {
+        let full = SPILL_PARTITIONS as u64 * GROUPS_PER_PARTITION;
+        // A space and a table that can each hold 64 × 4,096 groups or
+        // more: the full fan-out.
+        assert_eq!(spill_partitions(full, full as usize), SPILL_PARTITIONS);
+        assert_eq!(spill_partitions(u64::MAX, 4_591_581), SPILL_PARTITIONS);
+        // A tiny space or a tiny table: 1 partition.
+        assert_eq!(spill_partitions(2, 500_000), 1);
+        assert_eq!(spill_partitions(u64::MAX, 6), 1);
+        assert_eq!(spill_partitions(1, 0), 1);
+        // Between them, one partition per 4,096 groups, rounded up.
+        assert_eq!(spill_partitions(4_097, 500_000), 2);
+        assert_eq!(spill_partitions(u64::MAX, 10_000), 3);
+        assert_eq!(spill_partitions(full - 1, full as usize), SPILL_PARTITIONS);
+        assert_eq!(spill_partitions(full - GROUPS_PER_PARTITION, 500_000), 63);
+        // Patients' ground space is 3 × 2 × 4 × 6 slots.
+        let t = patients();
+        let ground = GroupSpec::ground(&[0, 1, 2, 3]).unwrap();
+        assert_eq!(key_slots(t.schema(), &ground), 144);
+        let top = GroupSpec::new(vec![(0, 1), (1, 1), (2, 2)]).unwrap();
+        assert_eq!(key_slots(t.schema(), &top), 1);
     }
 
     #[test]

@@ -252,7 +252,7 @@ const DENSE_MAX_SLOTS: u64 = 1 << 16;
 /// histograms (8 KiB on the stack) that are summed at the end.
 const SPLIT_MAX_SLOTS: usize = 256;
 
-/// Rows per block of the scan kernel: a block's codes (16 KiB) and the
+/// Rows per block of the scan kernel: a block's codes (4–16 KiB) and the
 /// column slices it reads stay in L1 between the kernel's passes.
 pub(crate) const SCAN_BLOCK_ROWS: usize = 2048;
 
@@ -395,15 +395,37 @@ enum Digits<'a> {
     Gather(&'a [ValueId], &'a [ValueId]),
 }
 
-/// The width of a kernel's codes: `u32` for dense spaces (at most 2¹⁶
-/// slots), `u64` for runs and spill records.
+/// The width of a kernel's codes: the narrowest that holds every code of
+/// the space — `u16` for dense spaces (at most 2¹⁶ slots), `u32` for code
+/// runs of at most 32 bits, `u64` for wider runs and spill records.
 pub(crate) trait Code:
-    Copy + Default + From<u8> + From<u32> + TryFrom<u64> + Mul<Output = Self> + AddAssign
+    Copy + Default + PartialEq + Into<u64> + TryFrom<u64> + Mul<Output = Self> + AddAssign
 {
+    /// `v`, a digit of a part with `dim` values, at this width.
+    fn digit(v: ValueId, dim: u64) -> Self;
 }
 
-impl Code for u32 {}
-impl Code for u64 {}
+macro_rules! code_widths {
+    ($($t:ty),*) => {$(
+        impl Code for $t {
+            #[inline]
+            fn digit(v: ValueId, dim: u64) -> Self {
+                debug_assert!(u64::from(v) < dim, "digit {v} of a part with {dim} values");
+                v as $t
+            }
+        }
+    )*};
+}
+code_widths!(u16, u32, u64);
+
+/// One part of a [`CodeKernel`]: how its digits are read, its stride, and
+/// its number of values.
+#[derive(Clone, Copy)]
+struct Term<'a> {
+    digits: Digits<'a>,
+    stride: u64,
+    dim: u64,
+}
 
 /// The row → code kernel of a packable key space, one column at a time:
 /// each part's digits and stride, without the parts whose level has a
@@ -411,7 +433,7 @@ impl Code for u64 {}
 /// any code, and the other parts keep their strides: codes are identical
 /// to packing every part.
 pub(crate) struct CodeKernel<'a> {
-    terms: Vec<(Digits<'a>, u64)>,
+    terms: Vec<Term<'a>>,
 }
 
 impl<'a> CodeKernel<'a> {
@@ -424,7 +446,7 @@ impl<'a> CodeKernel<'a> {
             .iter()
             .zip(space.dims.iter().zip(&space.strides))
             .filter(|&(_, (&dim, _))| dim > 1)
-            .map(|(&(a, l), (_, &stride))| {
+            .map(|(&(a, l), (&dim, &stride))| {
                 let digits = if l == 0 {
                     Digits::Ground(table.column(a))
                 } else if let Some(bytes) = table.level_column(a, l) {
@@ -432,7 +454,7 @@ impl<'a> CodeKernel<'a> {
                 } else {
                     Digits::Gather(table.column(a), table.schema().hierarchy(a).map_to_level(l))
                 };
-                (digits, stride)
+                Term { digits, stride, dim }
             })
             .collect();
         CodeKernel { terms }
@@ -461,26 +483,20 @@ impl<'a> CodeKernel<'a> {
     }
 }
 
-/// Combine `out[i]` with part `digits`' term (digit × `stride`) for row
-/// `rows.start + i` through `f`. With no gather, the loop vectorizes.
-fn each_term<C: Code>(
-    (digits, stride): (Digits<'_>, u64),
-    rows: Range<usize>,
-    out: &mut [C],
-    f: impl Fn(&mut C, C),
-) {
+/// Combine `out[i]` with `term` (digit × stride) for row `rows.start + i`
+/// through `f`. With no gather, the loop vectorizes.
+fn each_term<C: Code>(term: Term<'_>, rows: Range<usize>, out: &mut [C], f: impl Fn(&mut C, C)) {
+    let Term { digits, stride, dim } = term;
     let stride = C::try_from(stride).ok().expect("the code width holds the space");
+    let scaled = |v: ValueId| C::digit(v, dim) * stride;
     match digits {
-        Digits::Ground(col) => {
-            out.iter_mut().zip(&col[rows]).for_each(|(c, &v)| f(c, C::from(v) * stride))
-        }
+        Digits::Ground(col) => out.iter_mut().zip(&col[rows]).for_each(|(c, &v)| f(c, scaled(v))),
         Digits::Bytes(col) => {
-            out.iter_mut().zip(&col[rows]).for_each(|(c, &v)| f(c, C::from(v) * stride))
+            out.iter_mut().zip(&col[rows]).for_each(|(c, &v)| f(c, scaled(ValueId::from(v))))
         }
-        Digits::Gather(col, map) => out
-            .iter_mut()
-            .zip(&col[rows])
-            .for_each(|(c, &v)| f(c, C::from(map[v as usize]) * stride)),
+        Digits::Gather(col, map) => {
+            out.iter_mut().zip(&col[rows]).for_each(|(c, &v)| f(c, scaled(map[v as usize])))
+        }
     }
 }
 
@@ -557,18 +573,31 @@ fn merge_equal<K: PartialEq>(pairs: &mut Vec<(K, u64)>) {
     pairs.shrink_to_fit();
 }
 
-/// The run of sorted `keys`, each distinct key with its number of
-/// occurrences, allocated for exactly its groups.
-fn run_of_sorted<K: PartialEq + Copy>(keys: &[K]) -> Vec<(K, u64)> {
+/// The run of sorted `keys`, each distinct key (widened to `W`) with its
+/// number of occurrences, allocated for exactly its groups.
+fn run_of_sorted<K: PartialEq + Copy + Into<W>, W: PartialEq>(keys: &[K]) -> Vec<(W, u64)> {
     let groups = keys.windows(2).filter(|w| w[0] != w[1]).count() + usize::from(!keys.is_empty());
-    let mut run: Vec<(K, u64)> = Vec::with_capacity(groups);
+    let mut run: Vec<(W, u64)> = Vec::with_capacity(groups);
     for &k in keys {
+        let k = k.into();
         match run.last_mut() {
             Some((last, c)) if *last == k => *c += 1,
             _ => run.push((k, 1)),
         }
     }
     run
+}
+
+/// The code run of `rows`: their codes at width `C`, radix-sorted over
+/// `bits` and counted, each code widened to `u64` only in the run.
+fn code_run<C: Code>(kernel: &CodeKernel<'_>, rows: Range<usize>, bits: u32) -> Vec<(u64, u64)> {
+    let mut buf = [C::default(); SCAN_BLOCK_ROWS];
+    let mut codes = Vec::with_capacity(rows.len());
+    for block in blocks(rows) {
+        codes.extend_from_slice(kernel.codes(block, &mut buf));
+    }
+    radix_sort(&mut codes, bits, |&code| code.into());
+    run_of_sorted(&codes)
 }
 
 /// The count of `key` in `run`, 0 if absent.
@@ -800,8 +829,9 @@ impl FrequencySet {
 
     /// Aggregate one contiguous row range of `table` into the empty
     /// accumulator `counts`, with the kernel its form selects: block by
-    /// block into a flat dense array (`u32` codes) or into `u64` codes
-    /// that are sorted and counted into a run, or row by row into
+    /// block into a flat dense array (`u16` codes) or into codes (`u32`
+    /// when the space's codes fit 32 bits, else `u64`) that are sorted and
+    /// counted into a run, or row by row into
     /// [`GroupKey`]s sorted the same way. All three produce identical
     /// counts.
     fn scan_rows(
@@ -816,7 +846,7 @@ impl FrequencySet {
                 incognito_obs::incr("table.scan.dense");
                 incognito_obs::add("table.kernel.dense.slot_bytes", slots.len() as u64 * 8);
                 let kernel = CodeKernel::new(table, spec, space);
-                let mut buf = [0u32; SCAN_BLOCK_ROWS];
+                let mut buf = [0u16; SCAN_BLOCK_ROWS];
                 if slots.len() <= SPLIT_MAX_SLOTS {
                     // Four histograms, one per row of every four: a run of
                     // one group's rows then increments four different
@@ -848,13 +878,12 @@ impl FrequencySet {
             Counts::Codes(run) => {
                 incognito_obs::incr("table.scan.packed");
                 let kernel = CodeKernel::new(table, spec, space);
-                let mut buf = [0u64; SCAN_BLOCK_ROWS];
-                let mut codes = Vec::with_capacity(rows.len());
-                for block in blocks(rows) {
-                    codes.extend_from_slice(kernel.codes(block, &mut buf));
-                }
-                radix_sort(&mut codes, space.code_bits(), |&code| code);
-                *run = run_of_sorted(&codes);
+                let bits = space.code_bits();
+                *run = if bits <= u32::BITS {
+                    code_run::<u32>(&kernel, rows, bits)
+                } else {
+                    code_run::<u64>(&kernel, rows, bits)
+                };
             }
             Counts::Keys(run) => {
                 let digits_of = row_digits(table, spec);
@@ -2029,7 +2058,7 @@ pub(crate) mod tests {
             Digits::Bytes(_) => "bytes",
             Digits::Gather(..) => "gather",
         };
-        kernel.terms.iter().map(|(d, _)| kind(d)).collect()
+        kernel.terms.iter().map(|t| kind(&t.digits)).collect()
     }
 
     #[test]
@@ -2064,6 +2093,91 @@ pub(crate) mod tests {
                 }
             }
             let expected = brute(&t, &spec);
+            let par = t.frequency_set_parallel(&spec, 4).unwrap();
+            assert_eq!(par.iter().collect::<BTreeMap<_, _>>(), expected, "{spec:?} threads 4");
+            let ext = crate::ExternalFrequencySet::build(&t, &spec, 5, &std::env::temp_dir())
+                .unwrap()
+                .into_frequency_set()
+                .unwrap();
+            assert_eq!(ext.iter().collect::<BTreeMap<_, _>>(), expected, "{spec:?} spilled");
+        }
+    }
+
+    /// Four attributes of 256 values, one of 2 and one of 2¹⁶ + 1, each
+    /// suppressed to `*` at level 1, over `rows` rows. Every 97th row holds
+    /// every attribute's largest value, every 89th its smallest, and the
+    /// others are spread by a hash.
+    fn width_table(rows: u32) -> Table {
+        let dims = [256, 256, 256, 256, 2, DENSE_MAX_SLOTS + 1];
+        let schema = Schema::new(
+            dims.iter()
+                .enumerate()
+                .map(|(j, &n)| {
+                    let name = format!("w{j}");
+                    let labels: Vec<String> = (0..n).map(|i| format!("{i}")).collect();
+                    let labels: Vec<&str> = labels.iter().map(String::as_str).collect();
+                    Attribute::new(&name, builders::suppression(&name, &labels).unwrap())
+                })
+                .collect(),
+        )
+        .unwrap();
+        let cols = dims
+            .iter()
+            .enumerate()
+            .map(|(j, &n)| {
+                let value = |i: u32| {
+                    if i.is_multiple_of(97) {
+                        n - 1
+                    } else if i.is_multiple_of(89) {
+                        0
+                    } else {
+                        mix(u64::from(i) << 3 | j as u64) % n
+                    }
+                };
+                (0..rows).map(|i| value(i) as ValueId).collect()
+            })
+            .collect();
+        Table::from_columns(schema, cols).unwrap()
+    }
+
+    #[test]
+    fn code_widths_match_brute_force_at_their_boundaries() {
+        const B: usize = SCAN_BLOCK_ROWS;
+        // Enough rows that whole scans of the widest dense space keep its
+        // 2¹⁶ slots: slots × 8 bytes ≤ rows × 16.
+        let t = width_table(16 * B as u32 + 24);
+        let n = t.num_rows();
+        let ranges = [0..1, 0..B + 1, B - 1..2 * B + 1, 3..n - 2];
+        // Each space with its slots and the code width its scan takes:
+        // the widest dense space (largest code 65,535, `u16`), the first
+        // one past it (a run of `u32` codes), the widest run of `u32`
+        // codes (32 bits) and the first run of `u64` codes (33 bits).
+        type Case = (Vec<(usize, LevelNo)>, u64, u32, &'static str);
+        let cases: [Case; 4] = [
+            (vec![(0, 0), (1, 0), (4, 1)], 1 << 16, 16, "dense"),
+            (vec![(5, 0), (2, 1)], (1 << 16) + 1, 17, "packed"),
+            (vec![(0, 0), (1, 0), (2, 0), (3, 0)], 1 << 32, 32, "packed"),
+            (vec![(4, 0), (3, 0), (2, 0), (1, 0), (0, 0)], 1 << 33, 33, "packed"),
+        ];
+        for (parts, slots, bits, tier) in cases {
+            let spec = GroupSpec::new(parts).unwrap();
+            let space = KeySpace::for_spec(t.schema(), &spec);
+            assert_eq!(space.slots, Some(slots), "{spec:?}");
+            assert_eq!(space.code_bits(), bits, "{spec:?}");
+            assert_eq!(Counts::accumulator(&space, n).tier(), tier, "{spec:?}");
+            let largest = brute(&t, &spec).into_keys().map(|k| space.pack(k.as_slice())).max();
+            assert_eq!(largest, Some(slots - 1), "{spec:?} reaches its largest code");
+            for rows in ranges.clone() {
+                let expected = brute_rows(&t, &spec, rows.clone());
+                for acc in forms(&space) {
+                    let tier = acc.tier();
+                    let got = FrequencySet::scan_rows(&t, &spec, rows.clone(), &space, acc);
+                    assert_eq!(groups_of(&got, &space), expected, "{spec:?} {tier} {rows:?}");
+                }
+            }
+            let expected = brute(&t, &spec);
+            let serial = t.frequency_set(&spec).unwrap();
+            assert_eq!(serial.iter().collect::<BTreeMap<_, _>>(), expected, "{spec:?} serial");
             let par = t.frequency_set_parallel(&spec, 4).unwrap();
             assert_eq!(par.iter().collect::<BTreeMap<_, _>>(), expected, "{spec:?} threads 4");
             let ext = crate::ExternalFrequencySet::build(&t, &spec, 5, &std::env::temp_dir())
