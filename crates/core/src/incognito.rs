@@ -77,12 +77,10 @@ pub(crate) enum AltSource<'a, 't> {
 /// exactly the ones the serial engine would make one at a time
 /// (DESIGN.md §8).
 enum FreqPlan<'f> {
-    /// Rollup from a cached direct specialization's frequency set.
-    Rollup { parent: &'f FreqHandle, target: Vec<u8> },
-    /// Rollup from the zero-generalization cube (Cube Incognito).
-    Cube { zero: &'f FreqHandle, target: Vec<u8> },
-    /// Rollup from this root family's shared super-root frequency set.
-    SuperRoot { root: &'f FreqHandle, target: Vec<u8> },
+    /// Roll `source` up to `target`: a cached direct specialization's
+    /// frequency set, the zero-generalization cube's (Cube Incognito), or
+    /// this root family's shared super-root set, as `via` records.
+    Rollup { source: &'f FreqHandle, target: Vec<u8>, via: CheckSource },
     /// Scan the base table.
     Scan { spec: GroupSpec },
     /// Ask the materialized store. The store caches lazily (`&mut`), so
@@ -109,20 +107,21 @@ fn plan_freq<'f>(
     if !cfg.rollup {
         return Ok(FreqPlan::Scan { spec });
     }
-    if let Some(parent) = in_adj[node as usize].iter().find_map(|&p| cache.get(&p)) {
-        return Ok(FreqPlan::Rollup { parent, target: graph.node(node).levels() });
+    let target = || graph.node(node).levels();
+    if let Some(source) = in_adj[node as usize].iter().find_map(|&p| cache.get(&p)) {
+        return Ok(FreqPlan::Rollup { source, target: target(), via: CheckSource::Rollup });
     }
     if let Some(cube) = cube {
         let mask =
             graph.node(node).parts.iter().fold(0u32, |m, &(a, _)| m | (1 << qi_pos[&a]));
-        let zero = cube.get(&mask).expect("cube covers every QI subset");
-        return Ok(FreqPlan::Cube { zero, target: graph.node(node).levels() });
+        let source = cube.get(&mask).expect("cube covers every QI subset");
+        return Ok(FreqPlan::Rollup { source, target: target(), via: CheckSource::Cube });
     }
     if is_store {
         return Ok(FreqPlan::Store { spec });
     }
-    if let Some(root) = superroot_freq.get(&graph.node(node).attr_set()) {
-        return Ok(FreqPlan::SuperRoot { root, target: graph.node(node).levels() });
+    if let Some(source) = superroot_freq.get(&graph.node(node).attr_set()) {
+        return Ok(FreqPlan::Rollup { source, target: target(), via: CheckSource::SuperRoot });
     }
     Ok(FreqPlan::Scan { spec })
 }
@@ -157,23 +156,11 @@ fn eval_plan(
     let mut scan_time = Duration::ZERO;
     let mut rollup_time = Duration::ZERO;
     let (freq, via) = match plan {
-        FreqPlan::Rollup { parent, target } => {
+        FreqPlan::Rollup { source, target, via } => {
             let t0 = Instant::now();
-            let f = provider.rollup(parent, schema, target)?;
+            let f = provider.rollup(source, schema, target)?;
             rollup_time = t0.elapsed();
-            (f, CheckSource::Rollup)
-        }
-        FreqPlan::Cube { zero, target } => {
-            let t0 = Instant::now();
-            let f = provider.rollup(zero, schema, target)?;
-            rollup_time = t0.elapsed();
-            (f, CheckSource::Cube)
-        }
-        FreqPlan::SuperRoot { root, target } => {
-            let t0 = Instant::now();
-            let f = provider.rollup(root, schema, target)?;
-            rollup_time = t0.elapsed();
-            (f, CheckSource::SuperRoot)
+            (f, *via)
         }
         FreqPlan::Scan { spec } => {
             let t0 = Instant::now();
