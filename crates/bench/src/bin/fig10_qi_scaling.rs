@@ -79,15 +79,55 @@ fn main() {
     eprintln!("generating Adults ({} rows)...", adults_cfg.rows);
     let a = adults::adults(&adults_cfg);
     let adult_sizes: Vec<usize> = if quick { (3..=6).collect() } else { (3..=9).collect() };
-    panel("fig10_adults_k2", "adults", &a, 2, &adult_sizes, &algos, threads, mem_budget, &mut report);
-    panel("fig10_adults_k10", "adults", &a, 10, &adult_sizes, &algos, threads, mem_budget, &mut report);
+    panel(
+        "fig10_adults_k2",
+        "adults",
+        &a,
+        2,
+        &adult_sizes,
+        &algos,
+        threads,
+        mem_budget,
+        &mut report,
+    );
+    panel(
+        "fig10_adults_k10",
+        "adults",
+        &a,
+        10,
+        &adult_sizes,
+        &algos,
+        threads,
+        mem_budget,
+        &mut report,
+    );
     drop(a);
 
     eprintln!("generating Lands End ({} rows)...", landsend_cfg.rows);
     let l = landsend::lands_end(&landsend_cfg);
     let lands_sizes: Vec<usize> = if quick { (1..=4).collect() } else { (1..=6).collect() };
-    panel("fig10_landsend_k2", "landsend", &l, 2, &lands_sizes, &algos, threads, mem_budget, &mut report);
-    panel("fig10_landsend_k10", "landsend", &l, 10, &lands_sizes, &algos, threads, mem_budget, &mut report);
+    panel(
+        "fig10_landsend_k2",
+        "landsend",
+        &l,
+        2,
+        &lands_sizes,
+        &algos,
+        threads,
+        mem_budget,
+        &mut report,
+    );
+    panel(
+        "fig10_landsend_k10",
+        "landsend",
+        &l,
+        10,
+        &lands_sizes,
+        &algos,
+        threads,
+        mem_budget,
+        &mut report,
+    );
 
     if cli.has("mem") {
         report.print_memory_table();

@@ -36,12 +36,8 @@ fn main() {
     let a = adults::adults(&adults_cfg);
     let adults_n = if quick { 6 } else { 8 };
     let adults_qi: Vec<usize> = (0..adults_n).collect();
-    let algos = [
-        Algo::BinarySearch,
-        Algo::BottomUpRollup,
-        Algo::BasicIncognito,
-        Algo::SuperRootsIncognito,
-    ];
+    let algos =
+        [Algo::BinarySearch, Algo::BottomUpRollup, Algo::BasicIncognito, Algo::SuperRootsIncognito];
     let mut headers = vec!["k".to_string()];
     headers.extend(algos.iter().map(|a| a.label().to_string()));
     let hdr: Vec<&str> = headers.iter().map(String::as_str).collect();
@@ -51,7 +47,12 @@ fn main() {
         for algo in algos {
             let (r, elapsed) = algo.run_with_opts(&a, &adults_qi, k, threads, mem_budget);
             row.push(secs(elapsed));
-            eprintln!("  adults k={k} {}: {}s ({} checked)", algo.label(), secs(elapsed), r.stats().nodes_checked());
+            eprintln!(
+                "  adults k={k} {}: {}s ({} checked)",
+                algo.label(),
+                secs(elapsed),
+                r.stats().nodes_checked()
+            );
             report.record_run(algo.label(), "adults", k, adults_n, &r, elapsed);
         }
         series.push(row);
@@ -82,7 +83,13 @@ fn main() {
         ] {
             let (r, elapsed) = algo.run_with_opts(&l, qi, k, threads, mem_budget);
             row.push(secs(elapsed));
-            eprintln!("  landsend k={k} {} qi={}: {}s ({} checked)", algo.label(), qi.len(), secs(elapsed), r.stats().nodes_checked());
+            eprintln!(
+                "  landsend k={k} {} qi={}: {}s ({} checked)",
+                algo.label(),
+                qi.len(),
+                secs(elapsed),
+                r.stats().nodes_checked()
+            );
             report.record_run(algo.label(), "landsend", k, qi.len(), &r, elapsed);
         }
         series.push(row);

@@ -49,14 +49,7 @@ fn main() {
 
     let mut series = Series::new(
         "scale_out_of_core",
-        &[
-            "rows",
-            "in-memory peak",
-            "budgeted peak",
-            "spilled",
-            "in-memory time",
-            "budgeted time",
-        ],
+        &["rows", "in-memory peak", "budgeted peak", "spilled", "in-memory time", "budgeted time"],
     );
 
     let mut budgeted_peaks: Vec<u64> = Vec::new();
@@ -74,8 +67,7 @@ fn main() {
             incognito_obs::mem::reset_peak();
             let live0 = incognito_obs::mem::live_bytes();
             let before = incognito_obs::snapshot();
-            let (r, wall) =
-                Algo::BasicIncognito.run_with_opts(&table, &qi, k, threads, mem_budget);
+            let (r, wall) = Algo::BasicIncognito.run_with_opts(&table, &qi, k, threads, mem_budget);
             let peak_delta = incognito_obs::mem::peak_live_bytes().saturating_sub(live0);
             let after = incognito_obs::snapshot();
             let spilled_bytes =

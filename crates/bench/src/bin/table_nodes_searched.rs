@@ -47,7 +47,8 @@ fn main() {
     for n in 3..=9usize {
         let qi: Vec<usize> = (0..n).collect();
         let (bu, bu_wall) = Algo::BottomUpRollup.run_with_opts(&table, &qi, k, threads, mem_budget);
-        let (inc, inc_wall) = Algo::BasicIncognito.run_with_opts(&table, &qi, k, threads, mem_budget);
+        let (inc, inc_wall) =
+            Algo::BasicIncognito.run_with_opts(&table, &qi, k, threads, mem_budget);
         series.push(vec![
             n.to_string(),
             bu.stats().nodes_checked().to_string(),
@@ -55,7 +56,11 @@ fn main() {
             inc.stats().candidates().to_string(),
             inc.stats().nodes_marked().to_string(),
         ]);
-        eprintln!("  qi={n}: bottom-up={} incognito={}", bu.stats().nodes_checked(), inc.stats().nodes_checked());
+        eprintln!(
+            "  qi={n}: bottom-up={} incognito={}",
+            bu.stats().nodes_checked(),
+            inc.stats().nodes_checked()
+        );
         report.record_run(Algo::BottomUpRollup.label(), "adults", k, n, &bu, bu_wall);
         report.record_run(Algo::BasicIncognito.label(), "adults", k, n, &inc, inc_wall);
     }

@@ -281,9 +281,7 @@ impl Cli {
     /// `INCOGNITO_THREADS` environment default. Recorded in `BENCH_*.json`
     /// so reports from different thread counts are distinguishable.
     pub fn threads(&self) -> usize {
-        self.get::<usize>("threads")
-            .filter(|&n| n >= 1)
-            .unwrap_or_else(Config::default_threads)
+        self.get::<usize>("threads").filter(|&n| n >= 1).unwrap_or_else(Config::default_threads)
     }
 
     /// Memory budget in bytes from `--mem-budget BYTES`, falling back to

@@ -60,9 +60,8 @@ impl DistanceMatrix {
         for i in 0..u {
             let mut row = Vec::with_capacity(u - i);
             for j in i..u {
-                let d: Vec<LevelNo> = (0..qi.len())
-                    .map(|p| lca_level(p, tuples[i].0[p], tuples[j].0[p]))
-                    .collect();
+                let d: Vec<LevelNo> =
+                    (0..qi.len()).map(|p| lca_level(p, tuples[i].0[p], tuples[j].0[p])).collect();
                 row.push(d);
             }
             matrix.push(row);

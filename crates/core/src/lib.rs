@@ -161,9 +161,7 @@ impl Config {
     pub fn default_memory_budget() -> Option<u64> {
         static DEFAULT: std::sync::OnceLock<Option<u64>> = std::sync::OnceLock::new();
         *DEFAULT.get_or_init(|| {
-            std::env::var("INCOGNITO_MEM_BUDGET")
-                .ok()
-                .and_then(|v| v.trim().parse::<u64>().ok())
+            std::env::var("INCOGNITO_MEM_BUDGET").ok().and_then(|v| v.trim().parse::<u64>().ok())
         })
     }
 

@@ -35,10 +35,8 @@ pub fn limited_combination_check(
         if size > m {
             continue;
         }
-        let parts: Vec<(usize, LevelNo)> = (0..qi.len())
-            .filter(|&b| mask & (1 << b) != 0)
-            .map(|b| (qi[b], levels[b]))
-            .collect();
+        let parts: Vec<(usize, LevelNo)> =
+            (0..qi.len()).filter(|&b| mask & (1 << b) != 0).map(|b| (qi[b], levels[b])).collect();
         let freq = table.frequency_set(&GroupSpec::new(parts)?)?;
         if !freq.is_k_anonymous(k) {
             return Ok(false);
@@ -72,12 +70,10 @@ pub fn muargus_anonymize(
             break;
         }
         // Generalize the attribute with the most distinct released values.
-        let victim = (0..qi.len())
-            .filter(|&i| levels[i] < heights[i])
-            .max_by_key(|&i| {
-                let spec = GroupSpec::new(vec![(qi[i], levels[i])]).expect("valid spec");
-                table.frequency_set(&spec).map(|f| f.num_groups()).unwrap_or(0)
-            });
+        let victim = (0..qi.len()).filter(|&i| levels[i] < heights[i]).max_by_key(|&i| {
+            let spec = GroupSpec::new(vec![(qi[i], levels[i])]).expect("valid spec");
+            table.frequency_set(&spec).map(|f| f.num_groups()).unwrap_or(0)
+        });
         match victim {
             Some(i) => levels[i] += 1,
             None => break, // everything at the top; limited check may still fail for k > |T|
@@ -109,11 +105,9 @@ mod tests {
         // (Example 3.1's first iteration), yet the full 3-attribute QI is
         // not — exactly the μ-Argus failure mode with m = 1.
         let t = patients();
-        let ok1 =
-            limited_combination_check(&t, &[0, 1, 2], &[0, 0, 0], 2, 1).unwrap();
+        let ok1 = limited_combination_check(&t, &[0, 1, 2], &[0, 0, 0], 2, 1).unwrap();
         assert!(ok1, "all singleton subsets are 2-anonymous");
-        let ok3 =
-            limited_combination_check(&t, &[0, 1, 2], &[0, 0, 0], 2, 3).unwrap();
+        let ok3 = limited_combination_check(&t, &[0, 1, 2], &[0, 0, 0], 2, 3).unwrap();
         assert!(!ok3, "the full QI is not 2-anonymous");
     }
 
@@ -126,15 +120,11 @@ mod tests {
         let r = muargus_anonymize(&t, &[0, 1, 2], &cfg, 1).unwrap();
         let g = &r.generalizations()[0];
         assert!(limited_combination_check(&t, &[0, 1, 2], &g.levels, 2, 1).unwrap());
-        let full_spec = GroupSpec::new(
-            vec![(0usize, g.levels[0]), (1, g.levels[1]), (2, g.levels[2])],
-        )
-        .unwrap();
+        let full_spec =
+            GroupSpec::new(vec![(0usize, g.levels[0]), (1, g.levels[1]), (2, g.levels[2])])
+                .unwrap();
         let fully_anonymous = t.frequency_set(&full_spec).unwrap().is_k_anonymous(2);
-        assert!(
-            !fully_anonymous,
-            "the m=1 μ-Argus release must leak on the full QI here"
-        );
+        assert!(!fully_anonymous, "the m=1 μ-Argus release must leak on the full QI here");
     }
 
     #[test]
@@ -146,10 +136,8 @@ mod tests {
         let qi = [0usize, 1, 3];
         let r = muargus_anonymize(&t, &qi, &cfg, 3).unwrap();
         let g = &r.generalizations()[0];
-        let spec = GroupSpec::new(
-            qi.iter().zip(&g.levels).map(|(&a, &l)| (a, l)).collect(),
-        )
-        .unwrap();
+        let spec =
+            GroupSpec::new(qi.iter().zip(&g.levels).map(|(&a, &l)| (a, l)).collect()).unwrap();
         assert!(t.frequency_set(&spec).unwrap().is_k_anonymous(10));
     }
 

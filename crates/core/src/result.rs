@@ -135,12 +135,7 @@ impl AnonymizationResult {
     pub fn minimal_frontier(&self) -> Vec<&Generalization> {
         self.generalizations
             .iter()
-            .filter(|g| {
-                !self
-                    .generalizations
-                    .iter()
-                    .any(|other| other.is_generalized_by(g))
-            })
+            .filter(|g| !self.generalizations.iter().any(|other| other.is_generalized_by(g)))
             .collect()
     }
 

@@ -65,10 +65,9 @@ impl From<AlgoError> for VerifyError {
 pub fn verify_soundness(table: &Table, result: &AnonymizationResult) -> Result<(), VerifyError> {
     let cfg = Config::new(result.k()).with_suppression(result.max_suppress());
     for g in result.generalizations() {
-        let spec = GroupSpec::new(
-            result.qi().iter().zip(&g.levels).map(|(&a, &l)| (a, l)).collect(),
-        )
-        .map_err(AlgoError::from)?;
+        let spec =
+            GroupSpec::new(result.qi().iter().zip(&g.levels).map(|(&a, &l)| (a, l)).collect())
+                .map_err(AlgoError::from)?;
         let freq = table.frequency_set(&spec).map_err(AlgoError::from)?;
         if !cfg.passes(&freq) {
             return Err(VerifyError::Unsound { levels: g.levels.clone() });
@@ -132,25 +131,12 @@ mod tests {
         // Inject a bogus generalization (⟨S0, Z0⟩ is not 2-anonymous).
         let mut padded: Vec<Generalization> = real.generalizations().to_vec();
         padded.push(Generalization { levels: vec![0, 0] });
-        let unsound = AnonymizationResult::new(
-            vec![1, 2],
-            2,
-            0,
-            padded,
-            SearchStats::default(),
-        );
-        assert!(matches!(
-            verify_soundness(&t, &unsound),
-            Err(VerifyError::Unsound { .. })
-        ));
+        let unsound = AnonymizationResult::new(vec![1, 2], 2, 0, padded, SearchStats::default());
+        assert!(matches!(verify_soundness(&t, &unsound), Err(VerifyError::Unsound { .. })));
 
         // Drop a genuine one (⟨S1, Z0⟩).
-        let trimmed: Vec<Generalization> = real
-            .generalizations()
-            .iter()
-            .filter(|g| g.levels != vec![1, 0])
-            .cloned()
-            .collect();
+        let trimmed: Vec<Generalization> =
+            real.generalizations().iter().filter(|g| g.levels != vec![1, 0]).cloned().collect();
         let incomplete =
             AnonymizationResult::new(vec![1, 2], 2, 0, trimmed, SearchStats::default());
         assert!(matches!(

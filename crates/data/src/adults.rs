@@ -155,7 +155,12 @@ fn marital_taxonomy() -> incognito_hierarchy::Hierarchy {
                 ),
                 TaxonomyNode::node(
                     "Not-married",
-                    vec![leaf("Never-married"), leaf("Divorced"), leaf("Separated"), leaf("Widowed")],
+                    vec![
+                        leaf("Never-married"),
+                        leaf("Divorced"),
+                        leaf("Separated"),
+                        leaf("Widowed"),
+                    ],
                 ),
             ],
         ),
@@ -176,7 +181,12 @@ fn education_taxonomy() -> incognito_hierarchy::Hierarchy {
                     vec![
                         TaxonomyNode::node(
                             "Elementary",
-                            vec![leaf("Preschool"), leaf("1st-4th"), leaf("5th-6th"), leaf("7th-8th")],
+                            vec![
+                                leaf("Preschool"),
+                                leaf("1st-4th"),
+                                leaf("5th-6th"),
+                                leaf("7th-8th"),
+                            ],
                         ),
                         TaxonomyNode::node(
                             "Secondary",
@@ -220,23 +230,53 @@ fn country_names() -> Vec<(&'static str, &'static [&'static str])> {
         (
             "Latin-America",
             &[
-                "Mexico", "Puerto-Rico", "Cuba", "Jamaica", "Honduras", "Haiti",
-                "Dominican-Republic", "El-Salvador", "Guatemala", "Nicaragua", "Columbia",
-                "Ecuador", "Peru", "Trinadad&Tobago",
+                "Mexico",
+                "Puerto-Rico",
+                "Cuba",
+                "Jamaica",
+                "Honduras",
+                "Haiti",
+                "Dominican-Republic",
+                "El-Salvador",
+                "Guatemala",
+                "Nicaragua",
+                "Columbia",
+                "Ecuador",
+                "Peru",
+                "Trinadad&Tobago",
             ][..],
         ),
         (
             "Europe",
             &[
-                "England", "Germany", "Greece", "Italy", "Poland", "Portugal", "Ireland",
-                "France", "Hungary", "Scotland", "Yugoslavia", "Holand-Netherlands",
+                "England",
+                "Germany",
+                "Greece",
+                "Italy",
+                "Poland",
+                "Portugal",
+                "Ireland",
+                "France",
+                "Hungary",
+                "Scotland",
+                "Yugoslavia",
+                "Holand-Netherlands",
             ][..],
         ),
         (
             "Asia",
             &[
-                "India", "Japan", "China", "Iran", "Philippines", "Cambodia", "Thailand",
-                "Laos", "Taiwan", "Vietnam", "Hong",
+                "India",
+                "Japan",
+                "China",
+                "Iran",
+                "Philippines",
+                "Cambodia",
+                "Thailand",
+                "Laos",
+                "Taiwan",
+                "Vietnam",
+                "Hong",
             ][..],
         ),
         ("Other-region", &["South"][..]),
@@ -247,14 +287,10 @@ fn country_taxonomy() -> incognito_hierarchy::Hierarchy {
     let regions = country_names()
         .into_iter()
         .map(|(region, countries)| {
-            TaxonomyNode::node(
-                region,
-                countries.iter().map(|&c| TaxonomyNode::leaf(c)).collect(),
-            )
+            TaxonomyNode::node(region, countries.iter().map(|&c| TaxonomyNode::leaf(c)).collect())
         })
         .collect();
-    builders::taxonomy("Native Country", TaxonomyNode::node("*", regions))
-        .expect("static taxonomy")
+    builders::taxonomy("Native Country", TaxonomyNode::node("*", regions)).expect("static taxonomy")
 }
 
 /// Weights aligned with the leaf order of [`country_taxonomy`]

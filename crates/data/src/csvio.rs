@@ -255,8 +255,7 @@ pub fn read_csv<R: BufRead>(schema: Arc<Schema>, input: R) -> Result<Table, CsvE
     let header = records
         .next()
         .ok_or(CsvError::Row { line: 1, message: "missing header".to_string() })??;
-    let expected: Vec<String> =
-        schema.attributes().iter().map(|a| a.name().to_string()).collect();
+    let expected: Vec<String> = schema.attributes().iter().map(|a| a.name().to_string()).collect();
     if header.fields != expected {
         return Err(CsvError::HeaderMismatch { expected, found: header.fields });
     }
@@ -265,10 +264,9 @@ pub fn read_csv<R: BufRead>(schema: Arc<Schema>, input: R) -> Result<Table, CsvE
     for record in records {
         let record = record?;
         let refs: Vec<&str> = record.fields.iter().map(String::as_str).collect();
-        table.push_row(&refs).map_err(|e| CsvError::Row {
-            line: record.line,
-            message: e.to_string(),
-        })?;
+        table
+            .push_row(&refs)
+            .map_err(|e| CsvError::Row { line: record.line, message: e.to_string() })?;
     }
     Ok(table)
 }
@@ -450,11 +448,9 @@ mod tests {
     fn empty_lone_field_roundtrips() {
         // One attribute, named "", whose labels include "": both the
         // header and the empty label are written `""`, not as blank lines.
-        let schema = Schema::new(vec![Attribute::new(
-            "",
-            builders::identity("", &["", "a"]).unwrap(),
-        )])
-        .unwrap();
+        let schema =
+            Schema::new(vec![Attribute::new("", builders::identity("", &["", "a"]).unwrap())])
+                .unwrap();
         let mut t = Table::empty(schema);
         for label in ["a", "", "a", ""] {
             t.push_row(&[label]).unwrap();

@@ -78,7 +78,8 @@ pub fn lands_end(cfg: &LandsEndConfig) -> Table {
 pub fn lands_end_schema() -> Arc<Schema> {
     // 31,953 distinct 5-digit zipcodes: a deterministic stride through
     // 00000..=99999 that yields exactly that many distinct codes.
-    let zips: Vec<String> = (0..31_953u32).map(|i| format!("{:05}", (i * 3 + 7) % 100_000)).collect();
+    let zips: Vec<String> =
+        (0..31_953u32).map(|i| format!("{:05}", (i * 3 + 7) % 100_000)).collect();
     let zip_refs: Vec<&str> = zips.iter().map(String::as_str).collect();
 
     // 320 order dates spanning 16 months × 20 days each; the taxonomy is
@@ -93,8 +94,8 @@ pub fn lands_end_schema() -> Arc<Schema> {
         })
         .collect();
     let date_refs: Vec<&str> = dates.iter().map(String::as_str).collect();
-    let order_date = builders::taxonomy("Order date", date_taxonomy(&date_refs))
-        .expect("static hierarchy");
+    let order_date =
+        builders::taxonomy("Order date", date_taxonomy(&date_refs)).expect("static hierarchy");
 
     let styles: Vec<String> = (0..1_509u32).map(|i| format!("style-{i:04}")).collect();
     let style_refs: Vec<&str> = styles.iter().map(String::as_str).collect();

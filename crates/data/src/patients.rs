@@ -63,8 +63,11 @@ pub fn voter_registration() -> Table {
         ),
         Attribute::new(
             "Birthdate",
-            builders::identity("Birthdate", &["1/21/76", "1/10/81", "10/1/44", "2/21/84", "4/19/72"])
-                .expect("static domain"),
+            builders::identity(
+                "Birthdate",
+                &["1/21/76", "1/10/81", "10/1/44", "2/21/84", "4/19/72"],
+            )
+            .expect("static domain"),
         ),
         Attribute::new(
             "Sex",

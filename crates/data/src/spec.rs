@@ -135,10 +135,8 @@ impl SchemaSpec {
                 "identity" => AttrSpec::Identity,
                 "suppression" => AttrSpec::Suppression,
                 "round" => {
-                    let n: usize = words
-                        .next()
-                        .and_then(|w| w.parse().ok())
-                        .ok_or(SpecError::Parse {
+                    let n: usize =
+                        words.next().and_then(|w| w.parse().ok()).ok_or(SpecError::Parse {
                             line: lineno,
                             message: "round needs a digit count".into(),
                         })?;
@@ -234,10 +232,7 @@ fn parse_tree(attr: &str, block: &[(usize, &str)]) -> Result<TaxonomyNode, SpecE
 /// line breaks; unquoted fields are trimmed of surrounding whitespace.
 /// Ground domains for the inferred kinds are collected from the data
 /// (numerics sorted numerically so ordered-set models behave sensibly).
-pub fn load_csv_with_spec<R: BufRead>(
-    spec: &SchemaSpec,
-    input: R,
-) -> Result<Table, SpecError> {
+pub fn load_csv_with_spec<R: BufRead>(spec: &SchemaSpec, input: R) -> Result<Table, SpecError> {
     // First pass: buffer the records and collect distinct values per column.
     let mut records = Records::trimmed(input);
     let header = records
@@ -284,8 +279,7 @@ pub fn load_csv_with_spec<R: BufRead>(
             AttrSpec::Suppression => builders::suppression(name, &values)?,
             AttrSpec::Round(n) => builders::round_digits(name, &values, *n)?,
             AttrSpec::Ranges { widths, suppress } => {
-                let nums: Result<Vec<i64>, _> =
-                    values.iter().map(|v| v.parse::<i64>()).collect();
+                let nums: Result<Vec<i64>, _> = values.iter().map(|v| v.parse::<i64>()).collect();
                 let nums = nums.map_err(|_| SpecError::Parse {
                     line: 0,
                     message: format!("attribute {name:?} declared `ranges` but holds non-integers"),
@@ -301,10 +295,9 @@ pub fn load_csv_with_spec<R: BufRead>(
     let mut table = Table::empty(schema);
     for record in &rows {
         let refs: Vec<&str> = record.fields.iter().map(String::as_str).collect();
-        table.push_row(&refs).map_err(|e| SpecError::Parse {
-            line: record.line,
-            message: e.to_string(),
-        })?;
+        table
+            .push_row(&refs)
+            .map_err(|e| SpecError::Parse { line: record.line, message: e.to_string() })?;
     }
     Ok(table)
 }
@@ -356,9 +349,10 @@ Disease: identity
             SchemaSpec::parse("W: taxonomy\nNext: identity").unwrap_err(),
             SpecError::Parse { .. }
         ));
-        assert!(matches!(SpecError::from(
-            incognito_hierarchy::HierarchyError::EmptyDomain
-        ), SpecError::Hierarchy(_)));
+        assert!(matches!(
+            SpecError::from(incognito_hierarchy::HierarchyError::EmptyDomain),
+            SpecError::Hierarchy(_)
+        ));
     }
 
     #[test]

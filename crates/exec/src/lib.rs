@@ -183,7 +183,8 @@ fn run_job(job: Job, me: usize) {
         None
     };
     let span = incognito_obs::span_under("exec.task", job.parent);
-    let span = if me == usize::MAX { span.arg("worker", "caller") } else { span.arg("worker", me as u64) };
+    let span =
+        if me == usize::MAX { span.arg("worker", "caller") } else { span.arg("worker", me as u64) };
     (job.task)();
     span.finish();
     if let Some(bytes_at_start) = mem_at_start {
@@ -312,8 +313,7 @@ impl Executor {
         'pool: 'scope,
         F: FnOnce(&Scope<'pool, 'scope>) -> R,
     {
-        let scope =
-            Scope { exec: self, state: Arc::new(ScopeState::new()), _marker: PhantomData };
+        let scope = Scope { exec: self, state: Arc::new(ScopeState::new()), _marker: PhantomData };
         let result = catch_unwind(AssertUnwindSafe(|| f(&scope)));
         // Join unconditionally — the lifetime-erasure in `spawn` is sound
         // only because this wait happens on every exit path.

@@ -30,7 +30,11 @@ impl TaxonomyNode {
         TaxonomyNode { label: label.into(), children: Vec::new() }
     }
 
-    fn depth_of_leaves(&self, depth: usize, first: &mut Option<usize>) -> Result<(), HierarchyError> {
+    fn depth_of_leaves(
+        &self,
+        depth: usize,
+        first: &mut Option<usize>,
+    ) -> Result<(), HierarchyError> {
         if self.children.is_empty() {
             match *first {
                 None => *first = Some(depth),
@@ -92,10 +96,7 @@ pub fn taxonomy(name: impl Into<String>, root: TaxonomyNode) -> Result<Hierarchy
 /// Suppression-only hierarchy: ground values generalize directly to `"*"`
 /// (height 1). Used for Gender, Race, Salary class, Quantity, Shipment, and
 /// Style in the paper's schemas.
-pub fn suppression(
-    name: impl Into<String>,
-    values: &[&str],
-) -> Result<Hierarchy, HierarchyError> {
+pub fn suppression(name: impl Into<String>, values: &[&str]) -> Result<Hierarchy, HierarchyError> {
     let ground: Vec<String> = values.iter().map(|s| s.to_string()).collect();
     let map = vec![0; ground.len()];
     Hierarchy::from_levels(name, vec![ground, vec!["*".into()]], vec![map])
@@ -209,7 +210,8 @@ where
 
     for derive in derivations {
         let mut labels: Vec<String> = Vec::new();
-        let mut index: std::collections::HashMap<String, ValueId> = std::collections::HashMap::new();
+        let mut index: std::collections::HashMap<String, ValueId> =
+            std::collections::HashMap::new();
         let mut cur_ids: Vec<ValueId> = Vec::with_capacity(ground.len());
         for g in ground {
             let lbl = derive(g);
@@ -234,10 +236,8 @@ where
                 Some(_) => {}
             }
         }
-        let map: Vec<ValueId> = map
-            .into_iter()
-            .map(|m| m.expect("every prev value has a ground witness"))
-            .collect();
+        let map: Vec<ValueId> =
+            map.into_iter().map(|m| m.expect("every prev value has a ground witness")).collect();
         parent_maps.push(map);
         levels.push(labels);
         prev_ids = cur_ids;

@@ -446,12 +446,8 @@ mod tests {
         .unwrap_err();
         assert!(matches!(err, HierarchyError::UnreachableValue { level: 1, id: 1 }));
         // Missing map entirely.
-        let err = Hierarchy::from_levels(
-            "x",
-            vec![vec!["a".into()], vec!["*".into()]],
-            vec![],
-        )
-        .unwrap_err();
+        let err = Hierarchy::from_levels("x", vec![vec!["a".into()], vec!["*".into()]], vec![])
+            .unwrap_err();
         assert!(matches!(err, HierarchyError::ParentMapLength { .. }));
     }
 

@@ -47,7 +47,11 @@ fn check_laws(h: &Hierarchy) {
 }
 
 /// A random set of `1..max_len` distinct values drawn from `draw`.
-fn random_set<T: Ord>(rng: &mut Rng, max_len: usize, mut draw: impl FnMut(&mut Rng) -> T) -> Vec<T> {
+fn random_set<T: Ord>(
+    rng: &mut Rng,
+    max_len: usize,
+    mut draw: impl FnMut(&mut Rng) -> T,
+) -> Vec<T> {
     let target = rng.range_usize(1, max_len);
     let mut set = BTreeSet::new();
     // Domains are much larger than max_len, so this converges quickly.
@@ -107,7 +111,11 @@ fn round_digits_builder_laws() {
         for (i, label) in labels.iter().enumerate() {
             for l in 1..=steps {
                 let expect = format!("{}{}", &label[..5 - l], "*".repeat(l));
-                assert_eq!(h.label(l as u8, h.generalize(i as u32, l as u8)), expect, "case {case}");
+                assert_eq!(
+                    h.label(l as u8, h.generalize(i as u32, l as u8)),
+                    expect,
+                    "case {case}"
+                );
             }
         }
     }

@@ -66,8 +66,7 @@ pub fn generate_next(
     strategy: PruneStrategy,
 ) -> CandidateGraph {
     assert_eq!(alive.len(), prev.num_nodes(), "aliveness vector must cover all nodes");
-    let mut span =
-        incognito_obs::span("lattice.generate").arg("arity", (prev.arity() + 1) as u64);
+    let mut span = incognito_obs::span("lattice.generate").arg("arity", (prev.arity() + 1) as u64);
     incognito_obs::incr("lattice.generate.count");
     let arity = prev.arity() + 1;
 
@@ -75,9 +74,8 @@ pub fn generate_next(
     // Bucket survivors by their first (arity_prev - 1) components; within a
     // bucket, pair p, q with p's last attribute < q's last attribute.
     let join_span = incognito_obs::span("lattice.generate.join");
-    let survivors: Vec<NodeId> = (0..prev.num_nodes() as NodeId)
-        .filter(|&id| alive[id as usize])
-        .collect();
+    let survivors: Vec<NodeId> =
+        (0..prev.num_nodes() as NodeId).filter(|&id| alive[id as usize]).collect();
     incognito_obs::add("lattice.generate.survivors_in", survivors.len() as u64);
     let mut buckets: std::collections::BTreeMap<Vec<(usize, LevelNo)>, Vec<NodeId>> =
         std::collections::BTreeMap::new();
@@ -129,8 +127,9 @@ pub fn generate_next(
                 if !matches!(strategy, PruneStrategy::None) && arity > 2 {
                     for drop in 0..arity - 2 {
                         subset_buf.clear();
-                        subset_buf
-                            .extend(parts.iter().enumerate().filter(|&(j, _)| j != drop).map(|(_, &x)| x));
+                        subset_buf.extend(
+                            parts.iter().enumerate().filter(|&(j, _)| j != drop).map(|(_, &x)| x),
+                        );
                         if !membership.contains(&subset_buf) {
                             keep = false;
                             break;
@@ -138,11 +137,7 @@ pub fn generate_next(
                     }
                 }
                 if keep {
-                    nodes.push(NodeSpec {
-                        parts,
-                        parent1: Some(parent1),
-                        parent2: Some(parent2),
-                    });
+                    nodes.push(NodeSpec { parts, parent1: Some(parent1), parent2: Some(parent2) });
                 } else {
                     pruned += 1;
                 }
@@ -372,10 +367,12 @@ mod tests {
         // Figure 7(a) edges: B1S1Z0→B1S1Z1, B1S1Z1→B1S1Z2,
         // B1S0Z2→B1S1Z2, B0S1Z2→B1S1Z2.
         let id = |spec: &[(usize, LevelNo)]| c3.find(spec).unwrap();
-        let mut expected_edges = [(id(&[(0, 1), (1, 1), (2, 0)]), id(&[(0, 1), (1, 1), (2, 1)])),
+        let mut expected_edges = [
+            (id(&[(0, 1), (1, 1), (2, 0)]), id(&[(0, 1), (1, 1), (2, 1)])),
             (id(&[(0, 1), (1, 1), (2, 1)]), id(&[(0, 1), (1, 1), (2, 2)])),
             (id(&[(0, 1), (1, 0), (2, 2)]), id(&[(0, 1), (1, 1), (2, 2)])),
-            (id(&[(0, 0), (1, 1), (2, 2)]), id(&[(0, 1), (1, 1), (2, 2)]))];
+            (id(&[(0, 0), (1, 1), (2, 2)]), id(&[(0, 1), (1, 1), (2, 2)])),
+        ];
         expected_edges.sort_unstable();
         assert_eq!(c3.edges(), &expected_edges[..]);
 

@@ -189,9 +189,7 @@ impl CandidateGraph {
     /// Roots: nodes that are not the direct generalization of any other node
     /// in the graph (no incoming edge). The BFS starts from these.
     pub fn roots(&self) -> Vec<NodeId> {
-        (0..self.nodes.len() as NodeId)
-            .filter(|&n| self.in_degree[n as usize] == 0)
-            .collect()
+        (0..self.nodes.len() as NodeId).filter(|&n| self.in_degree[n as usize] == 0).collect()
     }
 
     /// Group node ids by family (attribute set). Iteration order is
@@ -229,19 +227,12 @@ impl CandidateGraph {
 
     /// Look up a node id by its `(attribute, level)` parts.
     pub fn find(&self, parts: &[(usize, LevelNo)]) -> Option<NodeId> {
-        self.nodes
-            .iter()
-            .position(|n| n.parts == parts)
-            .map(|p| p as NodeId)
+        self.nodes.iter().position(|n| n.parts == parts).map(|p| p as NodeId)
     }
 
     /// Build a spec → id index for the whole graph.
     pub fn spec_index(&self) -> FxHashMap<Vec<(usize, LevelNo)>, NodeId> {
-        self.nodes
-            .iter()
-            .enumerate()
-            .map(|(id, n)| (n.parts.clone(), id as NodeId))
-            .collect()
+        self.nodes.iter().enumerate().map(|(id, n)| (n.parts.clone(), id as NodeId)).collect()
     }
 
     /// Render the graph in Graphviz DOT form, labelling each node

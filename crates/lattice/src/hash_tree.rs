@@ -37,9 +37,7 @@ impl Node {
 #[inline]
 fn bucket_of(item: &Item) -> usize {
     // Mix both fields; the exact mix only affects balance, not correctness.
-    let h = (item.0 as u64)
-        .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-        .wrapping_add(item.1 as u64);
+    let h = (item.0 as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(item.1 as u64);
     (h % FANOUT as u64) as usize
 }
 
@@ -238,9 +236,8 @@ mod tests {
 
     #[test]
     fn agrees_with_spec_set() {
-        let specs: Vec<Vec<Item>> = (0..50)
-            .map(|i| spec(&[(i % 7, (i % 3) as u8), (7 + i % 5, (i % 2) as u8)]))
-            .collect();
+        let specs: Vec<Vec<Item>> =
+            (0..50).map(|i| spec(&[(i % 7, (i % 3) as u8), (7 + i % 5, (i % 2) as u8)])).collect();
         let t = HashTree::from_specs(specs.clone());
         let s = SpecSet::from_specs(specs.clone());
         assert_eq!(t.len(), s.len());

@@ -35,14 +35,7 @@ fn random_bits(rng: &mut Rng) -> Vec<bool> {
 
 fn subsets_of(parts: &[(usize, u8)]) -> Vec<Vec<(usize, u8)>> {
     (0..parts.len())
-        .map(|drop| {
-            parts
-                .iter()
-                .enumerate()
-                .filter(|&(j, _)| j != drop)
-                .map(|(_, &x)| x)
-                .collect()
-        })
+        .map(|drop| parts.iter().enumerate().filter(|&(j, _)| j != drop).map(|(_, &x)| x).collect())
         .collect()
 }
 
@@ -130,11 +123,7 @@ fn full_survivor_edges_equal_cover() {
         for _ in 0..2 {
             let alive = vec![true; graph.num_nodes()];
             graph = generate_next(&graph, &alive, PruneStrategy::HashTree);
-            assert_eq!(
-                graph.edges(),
-                &candidate::edges_by_cover(graph.nodes())[..],
-                "case {case}"
-            );
+            assert_eq!(graph.edges(), &candidate::edges_by_cover(graph.nodes())[..], "case {case}");
         }
     }
 }

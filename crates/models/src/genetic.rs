@@ -214,8 +214,7 @@ pub fn genetic_anonymize(
                 let l = best[pos][v as usize];
                 let g = h.generalize(v, l);
                 precision_loss += crate::release::precision_fraction(h, l);
-                lm_loss +=
-                    crate::release::lm_fraction(h, l, sizes[pos][l as usize][g as usize]);
+                lm_loss += crate::release::lm_fraction(h, l, sizes[pos][l as usize][g as usize]);
                 h.label(l, g).to_string()
             })
             .collect();

@@ -219,10 +219,7 @@ pub fn koptimize_anonymize(
     let interval_label = |pos: usize, a: usize, iv: usize| -> String {
         let h = schema.hierarchy(a);
         let lo = if iv == 0 { 0 } else { splits_per_attr[pos][iv - 1] };
-        let hi = splits_per_attr[pos]
-            .get(iv)
-            .map(|&b| b - 1)
-            .unwrap_or(domains[pos] as u32 - 1);
+        let hi = splits_per_attr[pos].get(iv).map(|&b| b - 1).unwrap_or(domains[pos] as u32 - 1);
         if lo == hi {
             h.label(0, lo).to_string()
         } else {
@@ -264,10 +261,8 @@ pub fn koptimize_anonymize(
                 let v = table.column(a)[row];
                 let iv = splits_per_attr[pos].partition_point(|&b| b <= v);
                 let lo = if iv == 0 { 0 } else { splits_per_attr[pos][iv - 1] };
-                let hi = splits_per_attr[pos]
-                    .get(iv)
-                    .map(|&b| b - 1)
-                    .unwrap_or(domains[pos] as u32 - 1);
+                let hi =
+                    splits_per_attr[pos].get(iv).map(|&b| b - 1).unwrap_or(domains[pos] as u32 - 1);
                 let frac = if domains[pos] <= 1 {
                     0.0
                 } else {
@@ -307,8 +302,7 @@ mod tests {
     /// Brute-force reference: evaluate every subset of the alphabet.
     fn brute_force_cost(table: &Table, qi: &[usize], k: u64) -> u128 {
         let schema = table.schema().clone();
-        let domains: Vec<usize> =
-            qi.iter().map(|&a| schema.hierarchy(a).ground_size()).collect();
+        let domains: Vec<usize> = qi.iter().map(|&a| schema.hierarchy(a).ground_size()).collect();
         let mut alphabet: Vec<(usize, u32)> = Vec::new();
         for (pos, &a) in qi.iter().enumerate() {
             let mut present = vec![false; domains[pos]];
@@ -347,13 +341,7 @@ mod tests {
             }
             let cost: u128 = counts
                 .values()
-                .map(|&c| {
-                    if c >= k {
-                        (c as u128) * (c as u128)
-                    } else {
-                        (c as u128) * n
-                    }
-                })
+                .map(|&c| if c >= k { (c as u128) * (c as u128) } else { (c as u128) * n })
                 .sum();
             best = best.min(cost);
         }

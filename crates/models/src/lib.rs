@@ -41,11 +41,11 @@ pub mod mondrian;
 pub mod partition1d;
 pub mod release;
 pub mod subgraph;
-pub mod tds;
-pub mod utility;
 pub mod subtree;
 mod taxonomy;
+pub mod tds;
+pub mod utility;
 
 pub use metrics::Metrics;
 pub use release::AnonymizedRelease;
-pub use taxonomy::{Dimensionality, DomainStyle, ModelDescriptor, Recoding, taxonomy};
+pub use taxonomy::{taxonomy, Dimensionality, DomainStyle, ModelDescriptor, Recoding};

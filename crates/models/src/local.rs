@@ -85,11 +85,9 @@ fn local_anonymize(
 
         // Coarsen, for this class only, the attribute with the most
         // headroom (largest remaining chain, ties to the wider domain).
-        let promote = (0..qi.len())
-            .filter(|&pos| key[pos].0 < heights[pos])
-            .max_by_key(|&pos| {
-                ((heights[pos] - key[pos].0) as usize, schema.hierarchy(qi[pos]).ground_size())
-            });
+        let promote = (0..qi.len()).filter(|&pos| key[pos].0 < heights[pos]).max_by_key(|&pos| {
+            ((heights[pos] - key[pos].0) as usize, schema.hierarchy(qi[pos]).ground_size())
+        });
         let Some(pos) = promote else {
             // Every cell of this class is at its hierarchy top and the
             // class is still short of k: suppress its rows and continue.
@@ -126,8 +124,7 @@ fn local_anonymize(
                 let l = levels[pos];
                 let g = h.generalize(table.column(a)[row], l);
                 precision_loss += crate::release::precision_fraction(h, l);
-                lm_loss +=
-                    crate::release::lm_fraction(h, l, sizes[pos][l as usize][g as usize]);
+                lm_loss += crate::release::lm_fraction(h, l, sizes[pos][l as usize][g as usize]);
                 h.label(l, g).to_string()
             })
             .collect();

@@ -33,12 +33,9 @@ impl Metrics {
     pub fn for_release(release: &AnonymizedRelease, k: u64) -> Metrics {
         let kept: u64 = release.class_sizes.iter().sum();
         let cells = (release.source_rows as f64) * (release.qi.len() as f64);
-        let discernibility: u128 = release
-            .class_sizes
-            .iter()
-            .map(|&c| (c as u128) * (c as u128))
-            .sum::<u128>()
-            + (release.suppressed as u128) * (release.source_rows as u128);
+        let discernibility: u128 =
+            release.class_sizes.iter().map(|&c| (c as u128) * (c as u128)).sum::<u128>()
+                + (release.suppressed as u128) * (release.source_rows as u128);
         let avg_class_size = if release.class_sizes.is_empty() || k == 0 {
             f64::NAN
         } else {
@@ -59,7 +56,7 @@ impl Metrics {
 
 #[cfg(test)]
 mod tests {
-    
+
     use crate::release::full_domain_release;
     use incognito_data::patients;
 

@@ -111,11 +111,8 @@ fn best_split(
         .enumerate()
         .map(|(pos, &a)| {
             let (lo, hi) = min_max(table.column(a), part);
-            let norm = if domains[pos] <= 1 {
-                0.0
-            } else {
-                (hi - lo) as f64 / (domains[pos] - 1) as f64
-            };
+            let norm =
+                if domains[pos] <= 1 { 0.0 } else { (hi - lo) as f64 / (domains[pos] - 1) as f64 };
             (norm, a)
         })
         .collect();
@@ -185,8 +182,7 @@ mod tests {
         let k = 10;
         let mond = mondrian_anonymize(&t, &qi, k).unwrap();
         assert!(mond.is_k_anonymous(k));
-        let full = incognito_core::incognito(&t, &qi, &incognito_core::Config::new(k))
-            .unwrap();
+        let full = incognito_core::incognito(&t, &qi, &incognito_core::Config::new(k)).unwrap();
         let best_full = full
             .generalizations()
             .iter()

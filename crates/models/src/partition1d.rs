@@ -28,16 +28,12 @@ pub fn ordered_partition_anonymize(
 
     // boundaries[pos] = ascending start ids of each interval; interval j of
     // attribute pos covers [boundaries[j], boundaries[j+1]).
-    let mut boundaries: Vec<Vec<u32>> =
-        domains.iter().map(|&d| (0..d as u32).collect()).collect();
+    let mut boundaries: Vec<Vec<u32>> = domains.iter().map(|&d| (0..d as u32).collect()).collect();
 
     loop {
         // Map every value to its interval index, group rows, test k-anonymity.
-        let maps: Vec<Vec<u32>> = boundaries
-            .iter()
-            .zip(&domains)
-            .map(|(b, &d)| interval_map(b, d))
-            .collect();
+        let maps: Vec<Vec<u32>> =
+            boundaries.iter().zip(&domains).map(|(b, &d)| interval_map(b, d)).collect();
         let mut counts: FxHashMap<Vec<u32>, u64> = FxHashMap::default();
         for row in 0..n_rows {
             let key: Vec<u32> = qi
@@ -63,25 +59,20 @@ pub fn ordered_partition_anonymize(
         for row in 0..n_rows {
             marginal[maps[pos][table.column(a)[row] as usize] as usize] += 1;
         }
-        let lightest = (0..marginal.len())
-            .min_by_key(|&j| marginal[j])
-            .expect("at least two intervals");
+        let lightest =
+            (0..marginal.len()).min_by_key(|&j| marginal[j]).expect("at least two intervals");
         // Merge interval `lightest` with its lighter neighbor by deleting
         // the boundary between them: deleting boundary j merges intervals
         // j-1 and j.
         let merge_right = lightest == 0
-            || (lightest + 1 < marginal.len()
-                && marginal[lightest + 1] < marginal[lightest - 1]);
+            || (lightest + 1 < marginal.len() && marginal[lightest + 1] < marginal[lightest - 1]);
         let delete = if merge_right { lightest + 1 } else { lightest };
         boundaries[pos].remove(delete);
     }
 
     // Label rows by their interval ranges and tally losses.
-    let maps: Vec<Vec<u32>> = boundaries
-        .iter()
-        .zip(&domains)
-        .map(|(b, &d)| interval_map(b, d))
-        .collect();
+    let maps: Vec<Vec<u32>> =
+        boundaries.iter().zip(&domains).map(|(b, &d)| interval_map(b, d)).collect();
     let mut precision_loss = 0.0;
     let mut lm_loss = 0.0;
     let mut qi_labels: Vec<Vec<String>> = Vec::with_capacity(n_rows);
@@ -94,10 +85,8 @@ pub fn ordered_partition_anonymize(
                 let v = table.column(a)[row];
                 let j = maps[pos][v as usize] as usize;
                 let lo = boundaries[pos][j];
-                let hi = boundaries[pos]
-                    .get(j + 1)
-                    .map(|&b| b - 1)
-                    .unwrap_or(domains[pos] as u32 - 1);
+                let hi =
+                    boundaries[pos].get(j + 1).map(|&b| b - 1).unwrap_or(domains[pos] as u32 - 1);
                 let frac = if domains[pos] <= 1 {
                     0.0
                 } else {

@@ -74,11 +74,9 @@ pub fn full_subgraph_anonymize(
 
         // Promote the first promotable attribute with the most headroom
         // (deepest remaining chain), preferring wide domains.
-        let promote_pos = (0..qi.len())
-            .filter(|&pos| node_levels[pos] < heights[pos])
-            .max_by_key(|&pos| {
-                (heights[pos] - node_levels[pos]) as usize
-                    * schema.hierarchy(qi[pos]).ground_size()
+        let promote_pos =
+            (0..qi.len()).filter(|&pos| node_levels[pos] < heights[pos]).max_by_key(|&pos| {
+                (heights[pos] - node_levels[pos]) as usize * schema.hierarchy(qi[pos]).ground_size()
             });
         let Some(pos) = promote_pos else { break };
         let mut new_levels = node_levels.clone();
@@ -126,8 +124,7 @@ pub fn full_subgraph_anonymize(
                 let l = levels[i][pos];
                 let g = h.generalize(v[pos], l);
                 precision_loss += crate::release::precision_fraction(h, l);
-                lm_loss +=
-                    crate::release::lm_fraction(h, l, sizes[pos][l as usize][g as usize]);
+                lm_loss += crate::release::lm_fraction(h, l, sizes[pos][l as usize][g as usize]);
             }
             qi_labels[row] = labels.clone();
         }

@@ -41,10 +41,8 @@ pub fn full_subtree_anonymize(
     let schema = table.schema().clone();
     let n_rows = table.num_rows();
     // assignment[pos][ground_id] = released level of that value.
-    let mut assignment: Vec<Vec<LevelNo>> = qi
-        .iter()
-        .map(|&a| vec![0u8; schema.hierarchy(a).ground_size()])
-        .collect();
+    let mut assignment: Vec<Vec<LevelNo>> =
+        qi.iter().map(|&a| vec![0u8; schema.hierarchy(a).ground_size()]).collect();
 
     // Rows suppressed because their class got stuck at the hierarchy tops
     // with fewer than k members (only possible in unrestricted mode; a
@@ -146,8 +144,7 @@ pub fn full_subtree_anonymize(
                 let l = assignment[pos][v as usize];
                 let g = h.generalize(v, l);
                 precision_loss += crate::release::precision_fraction(h, l);
-                lm_loss +=
-                    crate::release::lm_fraction(h, l, sizes[pos][l as usize][g as usize]);
+                lm_loss += crate::release::lm_fraction(h, l, sizes[pos][l as usize][g as usize]);
                 h.label(l, g).to_string()
             })
             .collect();
@@ -263,11 +260,8 @@ mod tests {
         // Values absent from the data are unobservable through the release;
         // the recoding function maps them with their observed subtree
         // siblings, so fill them accordingly before validating.
-        let observed: Vec<(u32, u8)> = assignment
-            .iter()
-            .enumerate()
-            .filter_map(|(v, l)| l.map(|l| (v as u32, l)))
-            .collect();
+        let observed: Vec<(u32, u8)> =
+            assignment.iter().enumerate().filter_map(|(v, l)| l.map(|l| (v as u32, l))).collect();
         let assignment: Vec<u8> = assignment
             .iter()
             .enumerate()

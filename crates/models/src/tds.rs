@@ -139,8 +139,7 @@ pub fn tds_anonymize(table: &Table, qi: &[usize], k: u64) -> Result<AnonymizedRe
                 let l = assignment[pos][v as usize];
                 let g = h.generalize(v, l);
                 precision_loss += crate::release::precision_fraction(h, l);
-                lm_loss +=
-                    crate::release::lm_fraction(h, l, sizes[pos][l as usize][g as usize]);
+                lm_loss += crate::release::lm_fraction(h, l, sizes[pos][l as usize][g as usize]);
                 h.label(l, g).to_string()
             })
             .collect();
@@ -203,11 +202,8 @@ mod tests {
                 .expect("label on ancestor chain");
             assignment[v as usize] = Some(level);
         }
-        let observed: Vec<(u32, u8)> = assignment
-            .iter()
-            .enumerate()
-            .filter_map(|(v, l)| l.map(|l| (v as u32, l)))
-            .collect();
+        let observed: Vec<(u32, u8)> =
+            assignment.iter().enumerate().filter_map(|(v, l)| l.map(|l| (v as u32, l))).collect();
         let assignment: Vec<u8> = assignment
             .iter()
             .enumerate()

@@ -30,9 +30,7 @@ impl RangeQuery {
     pub fn true_count(&self, table: &Table) -> u64 {
         (0..table.num_rows())
             .filter(|&row| {
-                self.conjuncts
-                    .iter()
-                    .all(|&(a, lo, hi)| (lo..=hi).contains(&table.column(a)[row]))
+                self.conjuncts.iter().all(|&(a, lo, hi)| (lo..=hi).contains(&table.column(a)[row]))
             })
             .count() as u64
     }
@@ -60,11 +58,7 @@ impl RangeQuery {
                     domain: h.ground_size(),
                 });
             }
-            let level = qi
-                .iter()
-                .position(|&q| q == a)
-                .map(|p| levels[p])
-                .unwrap_or(0);
+            let level = qi.iter().position(|&q| q == a).map(|p| levels[p]).unwrap_or(0);
             let map = h.map_to_level(level);
             let mut total = vec![0u32; h.level_size(level)];
             let mut inside = vec![0u32; h.level_size(level)];
@@ -80,8 +74,7 @@ impl RangeQuery {
                 .map(|(&t, &i)| if t == 0 { 0.0 } else { i as f64 / t as f64 })
                 .collect();
             // Per-ground lookup: fraction of the row's released cell.
-            let per_ground: Vec<f64> =
-                map.iter().map(|&cell| frac[cell as usize]).collect();
+            let per_ground: Vec<f64> = map.iter().map(|&cell| frac[cell as usize]).collect();
             fractions.push((a, per_ground));
         }
 

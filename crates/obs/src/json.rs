@@ -226,7 +226,11 @@ impl From<i64> for Json {
 }
 impl From<u64> for Json {
     fn from(v: u64) -> Json {
-        if v <= i64::MAX as u64 { Json::Int(v as i64) } else { Json::Num(v as f64) }
+        if v <= i64::MAX as u64 {
+            Json::Int(v as i64)
+        } else {
+            Json::Num(v as f64)
+        }
     }
 }
 impl From<usize> for Json {
@@ -518,10 +522,7 @@ mod tests {
 
     #[test]
     fn parser_handles_escapes_unicode_and_exponents() {
-        assert_eq!(
-            Json::parse(r#""aA\n\t\" b""#).unwrap(),
-            Json::Str("aA\n\t\" b".to_owned())
-        );
+        assert_eq!(Json::parse(r#""aA\n\t\" b""#).unwrap(), Json::Str("aA\n\t\" b".to_owned()));
         assert_eq!(Json::parse("1e3").unwrap(), Json::Num(1000.0));
         assert_eq!(Json::parse("-42").unwrap(), Json::Int(-42));
         assert_eq!(Json::parse("\"héllo\"").unwrap(), Json::Str("héllo".to_owned()));

@@ -267,7 +267,11 @@ pub struct TimerValue {
 impl TimerValue {
     /// Mean observation, or zero if none were recorded.
     pub fn mean(&self) -> Duration {
-        if self.count == 0 { Duration::ZERO } else { self.total / self.count as u32 }
+        if self.count == 0 {
+            Duration::ZERO
+        } else {
+            self.total / self.count as u32
+        }
     }
 }
 

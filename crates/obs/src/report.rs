@@ -139,7 +139,11 @@ pub fn git_describe() -> Option<String> {
     }
     let desc = String::from_utf8(out.stdout).ok()?;
     let desc = desc.trim();
-    if desc.is_empty() { None } else { Some(desc.to_owned()) }
+    if desc.is_empty() {
+        None
+    } else {
+        Some(desc.to_owned())
+    }
 }
 
 #[cfg(test)]

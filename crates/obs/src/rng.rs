@@ -81,7 +81,11 @@ impl Rng {
 
     /// A uniformly chosen element, or `None` on an empty slice.
     pub fn choose<'a, T>(&mut self, items: &'a [T]) -> Option<&'a T> {
-        if items.is_empty() { None } else { Some(&items[self.range_usize(0, items.len())]) }
+        if items.is_empty() {
+            None
+        } else {
+            Some(&items[self.range_usize(0, items.len())])
+        }
     }
 
     /// Fisher–Yates shuffle in place.

@@ -308,8 +308,7 @@ impl TraceState {
                 let allocs = crate::mem::thread_alloc_count().saturating_sub(count_at_open);
                 self.args.push(("alloc_bytes".to_owned(), Json::from(alloc_bytes)));
                 self.args.push(("allocs".to_owned(), Json::from(allocs)));
-                self.args
-                    .push(("peak_live".to_owned(), Json::from(crate::mem::peak_live_bytes())));
+                self.args.push(("peak_live".to_owned(), Json::from(crate::mem::peak_live_bytes())));
                 sample_counter("mem.live_bytes", crate::mem::live_bytes());
             }
         }
@@ -477,10 +476,8 @@ pub fn from_chrome_json(doc: &Json) -> Result<Vec<TraceRecord>, String> {
             }
         };
         let args_json = e.get("args");
-        let seq = args_json
-            .and_then(|a| a.get("seq"))
-            .and_then(Json::as_int)
-            .map(|v| v.max(0) as u64);
+        let seq =
+            args_json.and_then(|a| a.get("seq")).and_then(Json::as_int).map(|v| v.max(0) as u64);
         let parent = args_json
             .and_then(|a| a.get("parent_seq"))
             .and_then(Json::as_int)
@@ -529,8 +526,7 @@ pub struct TraceNode {
 /// absent (never closed, foreign trace, cross-thread drop) becomes a
 /// root; nothing panics on malformed input.
 pub fn build_tree(records: &[TraceRecord]) -> Vec<TraceNode> {
-    let by_seq: HashMap<u64, usize> =
-        records.iter().enumerate().map(|(i, r)| (r.seq, i)).collect();
+    let by_seq: HashMap<u64, usize> = records.iter().enumerate().map(|(i, r)| (r.seq, i)).collect();
     // children[i] = indices of records whose parent is record i.
     let mut children: Vec<Vec<usize>> = vec![Vec::new(); records.len()];
     let mut roots: Vec<usize> = Vec::new();
@@ -575,8 +571,7 @@ pub fn profile(records: &[TraceRecord]) -> Vec<ProfileRow> {
     let forest = build_tree(records);
     let mut stack: Vec<&TraceNode> = forest.iter().collect();
     while let Some(node) = stack.pop() {
-        child_ns[node.index] =
-            node.children.iter().map(|c| records[c.index].dur_ns).sum();
+        child_ns[node.index] = node.children.iter().map(|c| records[c.index].dur_ns).sum();
         stack.extend(node.children.iter());
     }
     let mut rows: HashMap<&str, ProfileRow> = HashMap::new();
@@ -633,10 +628,7 @@ mod tests {
 
     #[test]
     fn orphans_and_self_parents_become_roots() {
-        let records = vec![
-            rec("orphan", 2, Some(99), 0, 10),
-            rec("selfie", 3, Some(3), 20, 10),
-        ];
+        let records = vec![rec("orphan", 2, Some(99), 0, 10), rec("selfie", 3, Some(3), 20, 10)];
         let forest = build_tree(&records);
         assert_eq!(forest.len(), 2);
     }
@@ -659,10 +651,8 @@ mod tests {
 
     #[test]
     fn chrome_json_round_trips_records() {
-        let mut records = vec![
-            rec("root", 1, None, 0, 100_000),
-            rec("child", 2, Some(1), 10_000, 40_000),
-        ];
+        let mut records =
+            vec![rec("root", 1, None, 0, 100_000), rec("child", 2, Some(1), 10_000, 40_000)];
         records[1].args.push(("via".to_owned(), Json::from("rollup")));
         records[1].args.push(("anonymous".to_owned(), Json::Bool(true)));
         let doc = to_chrome_json(&records);
@@ -727,9 +717,7 @@ mod tests {
 
         let records = drain();
         let r = records.iter().find(|r| r.name == "mem_attr_test").expect("span recorded");
-        let get = |k: &str| {
-            r.args.iter().find(|(key, _)| key == k).and_then(|(_, v)| v.as_int())
-        };
+        let get = |k: &str| r.args.iter().find(|(key, _)| key == k).and_then(|(_, v)| v.as_int());
         assert!(get("alloc_bytes").expect("alloc_bytes arg") >= 1 << 18);
         assert!(get("allocs").expect("allocs arg") >= 1);
         assert!(get("peak_live").expect("peak_live arg") > 0);
@@ -756,10 +744,7 @@ mod tests {
         let c = &events[1];
         assert_eq!(c.get("ph").and_then(Json::as_str), Some("C"));
         assert_eq!(c.get("name").and_then(Json::as_str), Some("mem.live_bytes"));
-        assert_eq!(
-            c.get("args").and_then(|a| a.get("value")).and_then(Json::as_int),
-            Some(42)
-        );
+        assert_eq!(c.get("args").and_then(|a| a.get("value")).and_then(Json::as_int), Some(42));
         // Counter events are render-only: the span loader skips them.
         assert_eq!(from_chrome_json(&doc).unwrap().len(), 1);
     }

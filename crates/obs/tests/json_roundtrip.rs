@@ -61,11 +61,7 @@ fn deeply_nested_values_round_trip() {
     // A 64-deep array/object ladder — far past anything a report emits.
     let mut v = Json::Int(7);
     for i in 0..64 {
-        v = if i % 2 == 0 {
-            Json::Arr(vec![v])
-        } else {
-            Json::Obj(vec![("level".to_owned(), v)])
-        };
+        v = if i % 2 == 0 { Json::Arr(vec![v]) } else { Json::Obj(vec![("level".to_owned(), v)]) };
     }
     assert_eq!(Json::parse(&v.to_pretty_string()).unwrap(), v);
     assert_eq!(Json::parse(&v.to_compact_string()).unwrap(), v);

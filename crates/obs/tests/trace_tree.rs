@@ -115,7 +115,13 @@ fn span_stack_survives_abuse_and_chrome_json_stays_well_formed() {
         assert_eq!((&b.name, b.tid, b.seq, b.parent), (&r.name, r.tid, r.seq, r.parent));
         assert_eq!(b.args, r.args, "span {}", r.name);
         assert!(b.ts_ns.abs_diff(r.ts_ns) <= 1, "ts of {}: {} vs {}", r.name, b.ts_ns, r.ts_ns);
-        assert!(b.dur_ns.abs_diff(r.dur_ns) <= 1, "dur of {}: {} vs {}", r.name, b.dur_ns, r.dur_ns);
+        assert!(
+            b.dur_ns.abs_diff(r.dur_ns) <= 1,
+            "dur of {}: {} vs {}",
+            r.name,
+            b.dur_ns,
+            r.dur_ns
+        );
     }
 
     // Draining emptied the collector.

@@ -79,19 +79,16 @@ impl Relation {
         on: &[JoinKey<'_>],
         prefix: &str,
     ) -> Result<Relation, RelError> {
-        let left_keys: Vec<usize> = on
-            .iter()
-            .map(|&(l, _)| self.column_index(l))
-            .collect::<Result<_, _>>()?;
-        let right_keys: Vec<usize> = on
-            .iter()
-            .map(|&(_, r)| other.column_index(r))
-            .collect::<Result<_, _>>()?;
+        let left_keys: Vec<usize> =
+            on.iter().map(|&(l, _)| self.column_index(l)).collect::<Result<_, _>>()?;
+        let right_keys: Vec<usize> =
+            on.iter().map(|&(_, r)| other.column_index(r)).collect::<Result<_, _>>()?;
 
         // Build on the smaller side conceptually; keep it simple: build right.
         let mut index: FxHashMap<Vec<Value>, Vec<usize>> = FxHashMap::default();
         for row in 0..other.len() {
-            let key: Vec<Value> = right_keys.iter().map(|&k| other.column_at(k).value(row)).collect();
+            let key: Vec<Value> =
+                right_keys.iter().map(|&k| other.column_at(k).value(row)).collect();
             index.entry(key).or_default().push(row);
         }
 
@@ -100,12 +97,14 @@ impl Relation {
         for (name, col) in self.names().iter().zip((0..self.arity()).map(|i| self.column_at(i))) {
             cols.push((name.clone(), empty_like(col)));
         }
-        for (name, col) in other.names().iter().zip((0..other.arity()).map(|i| other.column_at(i))) {
+        for (name, col) in other.names().iter().zip((0..other.arity()).map(|i| other.column_at(i)))
+        {
             cols.push((format!("{prefix}{name}"), empty_like(col)));
         }
 
         for lrow in 0..self.len() {
-            let key: Vec<Value> = left_keys.iter().map(|&k| self.column_at(k).value(lrow)).collect();
+            let key: Vec<Value> =
+                left_keys.iter().map(|&k| self.column_at(k).value(lrow)).collect();
             if let Some(matches) = index.get(&key) {
                 for &rrow in matches {
                     for (i, (_, col)) in cols.iter_mut().enumerate().take(self.arity()) {
@@ -134,10 +133,9 @@ impl Relation {
                     let idx = self.column_index(column)?;
                     match self.column_at(idx) {
                         ColumnData::Int(_) => Ok(Some(idx)),
-                        ColumnData::Text(_) => Err(RelError::TypeMismatch {
-                            op: "SUM",
-                            column: column.clone(),
-                        }),
+                        ColumnData::Text(_) => {
+                            Err(RelError::TypeMismatch { op: "SUM", column: column.clone() })
+                        }
                     }
                 }
             })
@@ -259,10 +257,7 @@ mod tests {
         // §1.1's example query: SELECT COUNT(*) FROM Patients GROUP BY
         // Sex, Zipcode — a group of size 1 exists, so not 2-anonymous.
         let r = patients_sz();
-        let g = r
-            .group_by(&["sex", "zip"], &[Aggregate::count("cnt")])
-            .unwrap()
-            .sorted();
+        let g = r.group_by(&["sex", "zip"], &[Aggregate::count("cnt")]).unwrap().sorted();
         assert_eq!(g.len(), 4);
         let counts: Vec<Value> = (0..4).map(|i| g.value(i, "cnt").unwrap()).collect();
         assert!(counts.contains(&Value::Int(1)));
@@ -286,15 +281,10 @@ mod tests {
             ("count", ints(&[1, 1, 2, 2])),
         ])
         .unwrap();
-        let rolled = freq
-            .group_by(&["zip"], &[Aggregate::sum("count", "count")])
-            .unwrap()
-            .sorted();
+        let rolled = freq.group_by(&["zip"], &[Aggregate::sum("count", "count")]).unwrap().sorted();
         assert_eq!(rolled.len(), 3);
         assert_eq!(rolled.value(2, "count").unwrap(), Value::Int(2)); // 53715 = 1+1
-        assert!(freq
-            .group_by(&["zip"], &[Aggregate::sum("sex", "s")])
-            .is_err());
+        assert!(freq.group_by(&["zip"], &[Aggregate::sum("sex", "s")]).is_err());
     }
 
     #[test]
@@ -308,12 +298,9 @@ mod tests {
         assert_eq!(joined.len(), 6);
         assert_eq!(joined.names(), ["sex", "zip", "d_zip", "d_zip1"]);
         // Generalized grouping through the dimension table:
-        let g = joined
-            .group_by(&["sex", "d_zip1"], &[Aggregate::count("cnt")])
-            .unwrap()
-            .sorted();
+        let g = joined.group_by(&["sex", "d_zip1"], &[Aggregate::count("cnt")]).unwrap().sorted();
         assert_eq!(g.len(), 4); // (F,5370*) (F,5371*) (M,5370*) (M,5371*)
-        // Missing key on either side yields an error.
+                                // Missing key on either side yields an error.
         assert!(patients_sz().join(&dim, &[("zip", "nope")], "d_").is_err());
     }
 

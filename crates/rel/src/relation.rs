@@ -222,11 +222,7 @@ impl Relation {
     pub(crate) fn check_same_schema(&self, other: &Relation) -> Result<(), RelError> {
         let type_of = |c: &ColumnData| matches!(c, ColumnData::Int(_));
         if self.names != other.names
-            || self
-                .columns
-                .iter()
-                .zip(&other.columns)
-                .any(|(a, b)| type_of(a) != type_of(b))
+            || self.columns.iter().zip(&other.columns).any(|(a, b)| type_of(a) != type_of(b))
         {
             return Err(RelError::SchemaMismatch {
                 left: self.names.clone(),

@@ -38,10 +38,7 @@ fn int_at(rel: &Relation, row: usize, col: &str) -> i64 {
 pub fn parts_of(nodes: &Relation, row: usize, arity: usize) -> Vec<(usize, LevelNo)> {
     (0..arity)
         .map(|p| {
-            (
-                int_at(nodes, row, &dim_col(p)) as usize,
-                int_at(nodes, row, &index_col(p)) as LevelNo,
-            )
+            (int_at(nodes, row, &dim_col(p)) as usize, int_at(nodes, row, &index_col(p)) as LevelNo)
         })
         .collect()
 }
@@ -52,9 +49,7 @@ pub fn id_of(nodes: &Relation, row: usize) -> i64 {
 }
 
 /// Build `C₁`/`E₁` relations from the hierarchies of the sorted `qi`.
-pub fn initial_relations(
-    heights: &[(usize, LevelNo)],
-) -> Result<(Relation, Relation), StarError> {
+pub fn initial_relations(heights: &[(usize, LevelNo)]) -> Result<(Relation, Relation), StarError> {
     let (mut ids, mut dims, mut indexes) = (Vec::new(), Vec::new(), Vec::new());
     let (mut starts, mut ends) = (Vec::new(), Vec::new());
     let mut next_id = 0i64;
@@ -95,8 +90,7 @@ pub fn join_phase(s_prev: &Relation, prev_arity: usize) -> Result<Relation, Star
         key_names.push(dim_col(p));
         key_names.push(index_col(p));
     }
-    let on: Vec<(&str, &str)> =
-        key_names.iter().map(|k| (k.as_str(), k.as_str())).collect();
+    let on: Vec<(&str, &str)> = key_names.iter().map(|k| (k.as_str(), k.as_str())).collect();
     let joined = s_prev.join(s_prev, &on, "q_")?;
 
     // WHERE p.dim_{i-1} < q.dim_{i-1}.
@@ -144,19 +138,14 @@ pub fn prune_phase(
     prev_arity: usize,
 ) -> Result<Relation, StarError> {
     let arity = prev_arity + 1;
-    let survivors: FxHashSet<Vec<(usize, LevelNo)>> = (0..s_prev.len())
-        .map(|row| parts_of(s_prev, row, prev_arity))
-        .collect();
+    let survivors: FxHashSet<Vec<(usize, LevelNo)>> =
+        (0..s_prev.len()).map(|row| parts_of(s_prev, row, prev_arity)).collect();
     let mut keep_rows: Vec<usize> = Vec::new();
     'rows: for row in 0..candidates.len() {
         let parts = parts_of(candidates, row, arity);
         for drop in 0..arity {
-            let subset: Vec<(usize, LevelNo)> = parts
-                .iter()
-                .enumerate()
-                .filter(|&(j, _)| j != drop)
-                .map(|(_, &x)| x)
-                .collect();
+            let subset: Vec<(usize, LevelNo)> =
+                parts.iter().enumerate().filter(|&(j, _)| j != drop).map(|(_, &x)| x).collect();
             if !survivors.contains(&subset) {
                 continue 'rows;
             }
@@ -283,15 +272,11 @@ mod tests {
     type Spec = Vec<(usize, LevelNo)>;
 
     fn edge_pairs(nodes: &Relation, edges: &Relation, arity: usize) -> Vec<(Spec, Spec)> {
-        let by_id: std::collections::HashMap<i64, Vec<(usize, LevelNo)>> = (0..nodes.len())
-            .map(|r| (id_of(nodes, r), parts_of(nodes, r, arity)))
-            .collect();
+        let by_id: std::collections::HashMap<i64, Vec<(usize, LevelNo)>> =
+            (0..nodes.len()).map(|r| (id_of(nodes, r), parts_of(nodes, r, arity))).collect();
         let mut v: Vec<_> = (0..edges.len())
             .map(|r| {
-                (
-                    by_id[&int_at(edges, r, "start")].clone(),
-                    by_id[&int_at(edges, r, "end")].clone(),
-                )
+                (by_id[&int_at(edges, r, "start")].clone(), by_id[&int_at(edges, r, "end")].clone())
             })
             .collect();
         v.sort();
@@ -361,9 +346,8 @@ mod tests {
         let n2 = prune_phase(&cand2, &n1, 1).unwrap();
 
         // Kill every ⟨Sex, Zipcode⟩ candidate (dim pair (1, 2)).
-        let keep = n2.filter(|r, row| {
-            !(int_at(r, row, "dim1") == 1 && int_at(r, row, "dim2") == 2)
-        });
+        let keep =
+            n2.filter(|r, row| !(int_at(r, row, "dim1") == 1 && int_at(r, row, "dim2") == 2));
         let cand3 = join_phase(&keep, 2).unwrap();
         let n3 = prune_phase(&cand3, &keep, 2).unwrap();
         assert_eq!(n3.len(), 0, "3-candidates need all 2-subsets alive");

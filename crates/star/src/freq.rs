@@ -15,15 +15,11 @@ pub fn frequency_set_sql(
     star: &StarSchema,
     parts: &[(usize, LevelNo)],
 ) -> Result<Relation, StarError> {
-    let _span = incognito_obs::span("sql.scan")
-        .arg("rows", star.fact().len() as u64);
+    let _span = incognito_obs::span("sql.scan").arg("rows", star.fact().len() as u64);
     // Start from the fact columns we need (level-0 names).
-    let base_cols: Vec<(String, String)> = parts
-        .iter()
-        .map(|&(a, _)| (col_name(a, 0), col_name(a, 0)))
-        .collect();
-    let proj: Vec<(&str, &str)> =
-        base_cols.iter().map(|(s, d)| (s.as_str(), d.as_str())).collect();
+    let base_cols: Vec<(String, String)> =
+        parts.iter().map(|&(a, _)| (col_name(a, 0), col_name(a, 0))).collect();
+    let proj: Vec<(&str, &str)> = base_cols.iter().map(|(s, d)| (s.as_str(), d.as_str())).collect();
     let mut rel = star.fact().project(&proj)?;
 
     // Join each attribute needing generalization with its dimension and
@@ -71,8 +67,7 @@ pub fn rollup_sql(
     from: &[(usize, LevelNo)],
     to: &[LevelNo],
 ) -> Result<Relation, StarError> {
-    let _span = incognito_obs::span("sql.rollup")
-        .arg("groups_in", freq.len() as u64);
+    let _span = incognito_obs::span("sql.rollup").arg("groups_in", freq.len() as u64);
     assert_eq!(from.len(), to.len());
     let mut rel = freq.clone();
     for (&(a, fl), &tl) in from.iter().zip(to) {
@@ -102,11 +97,8 @@ pub fn rollup_sql(
             keep.iter().map(|(s, d)| (s.as_str(), d.as_str())).collect();
         rel = rel.project(&keep_refs)?;
     }
-    let group_cols: Vec<String> = from
-        .iter()
-        .zip(to)
-        .map(|(&(a, _), &tl)| col_name(a, tl))
-        .collect();
+    let group_cols: Vec<String> =
+        from.iter().zip(to).map(|(&(a, _), &tl)| col_name(a, tl)).collect();
     let group_refs: Vec<&str> = group_cols.iter().map(String::as_str).collect();
     Ok(rel.group_by(&group_refs, &[Aggregate::sum("count", "count")])?)
 }
@@ -184,10 +176,7 @@ mod tests {
         let ground = frequency_set_sql(&star, &[(1, 0), (2, 0)]).unwrap();
         let rolled = rollup_sql(&star, &ground, &[(1, 0), (2, 0)], &[1, 1]).unwrap();
         let direct = frequency_set_sql(&star, &[(1, 1), (2, 1)]).unwrap();
-        assert_eq!(
-            sql_rows(&rolled, &[(1, 1), (2, 1)]),
-            sql_rows(&direct, &[(1, 1), (2, 1)])
-        );
+        assert_eq!(sql_rows(&rolled, &[(1, 1), (2, 1)]), sql_rows(&direct, &[(1, 1), (2, 1)]));
     }
 
     #[test]

@@ -12,7 +12,9 @@ use incognito_rel::Relation;
 use incognito_table::fxhash::FxHashMap;
 use incognito_table::Table;
 
-use crate::candidate::{edge_generation, id_of, initial_relations, join_phase, parts_of, prune_phase};
+use crate::candidate::{
+    edge_generation, id_of, initial_relations, join_phase, parts_of, prune_phase,
+};
 use crate::freq::{frequency_set_sql, is_k_anonymous_sql, rollup_sql};
 use crate::schema::StarSchema;
 use crate::StarError;
@@ -69,10 +71,8 @@ pub fn incognito_sql(
         .arg("k", cfg.k)
         .arg("qi_arity", sorted.len() as u64);
     let star = StarSchema::build(table, &sorted)?;
-    let heights: Vec<(usize, LevelNo)> = sorted
-        .iter()
-        .map(|&a| (a, star.height(a).expect("attr in star")))
-        .collect();
+    let heights: Vec<(usize, LevelNo)> =
+        sorted.iter().map(|&a| (a, star.height(a).expect("attr in star"))).collect();
     let n = sorted.len();
 
     let (mut nodes, mut edges) = initial_relations(&heights)?;
@@ -110,8 +110,7 @@ pub fn incognito_sql(
         }
         let parts: Vec<Vec<(usize, LevelNo)>> =
             (0..num).map(|row| parts_of(&nodes, row, i)).collect();
-        let height =
-            |row: usize| -> u32 { parts[row].iter().map(|&(_, l)| l as u32).sum() };
+        let height = |row: usize| -> u32 { parts[row].iter().map(|&(_, l)| l as u32).sum() };
 
         let mut alive = vec![true; num];
         let mut marked = vec![false; num];
@@ -178,9 +177,7 @@ pub fn incognito_sql(
         if i == n {
             for (row, &a) in alive.iter().enumerate() {
                 if a {
-                    outcome
-                        .generalizations
-                        .push(parts[row].iter().map(|&(_, l)| l).collect());
+                    outcome.generalizations.push(parts[row].iter().map(|&(_, l)| l).collect());
                 }
             }
             outcome.generalizations.sort();
@@ -250,10 +247,7 @@ mod tests {
             incognito_sql(&t, &[0], &Config::new(0)),
             Err(StarError::Algo(AlgoError::InvalidK(0)))
         ));
-        assert!(matches!(
-            incognito_sql(&t, &[99], &Config::new(2)),
-            Err(StarError::Table(_))
-        ));
+        assert!(matches!(incognito_sql(&t, &[99], &Config::new(2)), Err(StarError::Table(_))));
     }
 
     #[test]

@@ -37,11 +37,8 @@ impl StarSchema {
         let mut fact_cols: Vec<(String, ColumnData)> = Vec::new();
         for &a in &sorted {
             let h = schema.hierarchy(a);
-            let labels: Vec<String> = table
-                .column(a)
-                .iter()
-                .map(|&v| h.label(0, v).to_string())
-                .collect();
+            let labels: Vec<String> =
+                table.column(a).iter().map(|&v| h.label(0, v).to_string()).collect();
             fact_cols.push((col_name(a, 0), ColumnData::Text(labels)));
         }
         let fact = relation_from_owned(fact_cols)?;
@@ -90,13 +87,9 @@ pub(crate) fn col_name(attr: usize, level: LevelNo) -> String {
     format!("a{attr}__{level}")
 }
 
-pub(crate) fn relation_from_owned(
-    cols: Vec<(String, ColumnData)>,
-) -> Result<Relation, StarError> {
-    let refs: Vec<(&str, ColumnData)> = cols
-        .into_iter()
-        .map(|(n, c)| (Box::leak(n.into_boxed_str()) as &str, c))
-        .collect();
+pub(crate) fn relation_from_owned(cols: Vec<(String, ColumnData)>) -> Result<Relation, StarError> {
+    let refs: Vec<(&str, ColumnData)> =
+        cols.into_iter().map(|(n, c)| (Box::leak(n.into_boxed_str()) as &str, c)).collect();
     Ok(Relation::new(refs)?)
 }
 

@@ -71,9 +71,15 @@ impl fmt::Display for TableError {
                 write!(f, "level {level} exceeds height {height} of attribute {attribute:?}")
             }
             TableError::KeyTooWide(n) => {
-                write!(f, "group keys support at most {} attributes, got {n}", crate::freq::MAX_KEY_ATTRS)
+                write!(
+                    f,
+                    "group keys support at most {} attributes, got {n}",
+                    crate::freq::MAX_KEY_ATTRS
+                )
             }
-            TableError::IncompatibleSpec(msg) => write!(f, "incompatible frequency-set spec: {msg}"),
+            TableError::IncompatibleSpec(msg) => {
+                write!(f, "incompatible frequency-set spec: {msg}")
+            }
         }
     }
 }

@@ -576,10 +576,7 @@ mod tests {
     #[test]
     fn external_matches_in_memory() {
         let t = big_table(10_000);
-        for spec in [
-            GroupSpec::ground(&[0, 1]).unwrap(),
-            GroupSpec::new(vec![(1, 1)]).unwrap(),
-        ] {
+        for spec in [GroupSpec::ground(&[0, 1]).unwrap(), GroupSpec::new(vec![(1, 1)]).unwrap()] {
             let mem = t.frequency_set(&spec).unwrap();
             let ext = ExternalFrequencySet::build(&t, &spec, 7, &spill_root()).unwrap();
             assert_eq!(ext.total(), mem.total());
@@ -595,10 +592,7 @@ mod tests {
                 );
             }
             let upgraded = ext.into_frequency_set().unwrap();
-            assert_eq!(
-                upgraded.to_labeled_rows(t.schema()),
-                mem.to_labeled_rows(t.schema())
-            );
+            assert_eq!(upgraded.to_labeled_rows(t.schema()), mem.to_labeled_rows(t.schema()));
         }
     }
 
@@ -697,10 +691,7 @@ mod tests {
         let file = OpenOptions::new().write(true).open(&path).unwrap();
         file.set_len(len - 3).unwrap();
         drop(file);
-        assert!(matches!(
-            ext.num_groups(),
-            Err(ExternalError::Corrupt { .. })
-        ));
+        assert!(matches!(ext.num_groups(), Err(ExternalError::Corrupt { .. })));
 
         // Record-boundary truncation: the file length stays divisible by
         // the record width, so only the cached expected length catches it.
@@ -836,10 +827,7 @@ mod tests {
             ext.rollup(t.schema(), &[1], &spill_root()),
             Err(ExternalError::Table(_))
         ));
-        assert!(matches!(
-            ext.project(&[5], &spill_root()),
-            Err(ExternalError::Table(_))
-        ));
+        assert!(matches!(ext.project(&[5], &spill_root()), Err(ExternalError::Table(_))));
     }
 
     #[test]

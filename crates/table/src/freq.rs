@@ -1265,7 +1265,8 @@ pub(crate) mod tests {
 
     /// The groups of `counts` over `space`, keyed for comparison.
     fn groups_of(counts: &Counts, space: &KeySpace) -> BTreeMap<GroupKey, u64> {
-        let (spec, space, counts) = (GroupSpec { parts: Vec::new() }, space.clone(), counts.clone());
+        let (spec, space, counts) =
+            (GroupSpec { parts: Vec::new() }, space.clone(), counts.clone());
         let mut out = BTreeMap::new();
         for (key, c) in (FrequencySet { spec, space, counts, groups: 0, total: 0 }).iter() {
             assert!(out.insert(key, c).is_none(), "group listed twice");
@@ -1523,10 +1524,7 @@ pub(crate) mod tests {
         let spec_top = GroupSpec::new(vec![(0, 1), (1, 1)]).unwrap();
         let scanned_top = t.frequency_set(&spec_top).unwrap();
         let rolled_top = wide.rollup(&schema, &[1, 1]).unwrap();
-        assert_eq!(
-            scanned_top.to_labeled_rows(&schema),
-            rolled_top.to_labeled_rows(&schema)
-        );
+        assert_eq!(scanned_top.to_labeled_rows(&schema), rolled_top.to_labeled_rows(&schema));
         // Single-attribute projection (dense) vs narrow scan.
         let proj = wide.project(&[0]).unwrap();
         let narrow = t.frequency_set(&GroupSpec::ground(&[0]).unwrap()).unwrap();
@@ -1604,9 +1602,7 @@ pub(crate) mod tests {
             base.frequency_set(&GroupSpec::ground(&[0]).unwrap()).unwrap().to_labeled_rows(&schema)
         );
         let empty = Table::empty(schema);
-        let f = empty
-            .frequency_set_parallel(&GroupSpec::ground(&[0]).unwrap(), 4)
-            .unwrap();
+        let f = empty.frequency_set_parallel(&GroupSpec::ground(&[0]).unwrap(), 4).unwrap();
         assert_eq!(f.num_groups(), 0);
     }
 
@@ -1665,9 +1661,7 @@ pub(crate) mod tests {
         let ground = t.frequency_set(&GroupSpec::ground(&[1, 2]).unwrap()).unwrap();
         // Roll up Zipcode to Z1, then compare against a fresh scan at (S0, Z1).
         let rolled = ground.rollup(&schema, &[0, 1]).unwrap();
-        let scanned = t
-            .frequency_set(&GroupSpec::new(vec![(1, 0), (2, 1)]).unwrap())
-            .unwrap();
+        let scanned = t.frequency_set(&GroupSpec::new(vec![(1, 0), (2, 1)]).unwrap()).unwrap();
         assert_eq!(rolled.to_labeled_rows(&schema), scanned.to_labeled_rows(&schema));
         // Example 3.1: Patients IS 2-anonymous w.r.t. ⟨S1, Z0⟩ ...
         let s1z0 = ground.rollup(&schema, &[1, 0]).unwrap();
@@ -1823,7 +1817,8 @@ pub(crate) mod tests {
         let random = (0..200).map(|i| mix(i) >> (i % 64)).filter(|&d| d > 0);
         for d in divisors.into_iter().chain([u64::MAX - 1, u64::MAX]).chain(random) {
             let recip = u128::MAX / u128::from(d);
-            let edges = [0, 1, d - 1, d, d.wrapping_add(1), d.wrapping_mul(3), u64::MAX - 1, u64::MAX];
+            let edges =
+                [0, 1, d - 1, d, d.wrapping_add(1), d.wrapping_mul(3), u64::MAX - 1, u64::MAX];
             for n in edges.into_iter().chain((0..200).map(|i| mix(i ^ d) >> (i % 64))) {
                 assert_eq!(div_by_reciprocal(recip, n), n / d, "{n} / {d}");
             }

@@ -119,11 +119,8 @@ mod tests {
     #[test]
     fn rejects_duplicate_names() {
         let h = builders::suppression("A", &["x"]).unwrap();
-        let err = Schema::new(vec![
-            Attribute::new("A", h.clone()),
-            Attribute::new("A", h),
-        ])
-        .unwrap_err();
+        let err =
+            Schema::new(vec![Attribute::new("A", h.clone()), Attribute::new("A", h)]).unwrap_err();
         assert!(matches!(err, TableError::DuplicateAttribute(_)));
     }
 }

@@ -20,9 +20,7 @@ use incognito::models::release::full_domain_release;
 use incognito::table::{GroupSpec, Table};
 
 fn unique_fraction(table: &Table, qi: &[usize]) -> f64 {
-    let freq = table
-        .frequency_set(&GroupSpec::ground(qi).expect("valid qi"))
-        .expect("valid qi");
+    let freq = table.frequency_set(&GroupSpec::ground(qi).expect("valid qi")).expect("valid qi");
     let unique: u64 = freq.iter().filter(|&(_, c)| c == 1).map(|(_, c)| c).sum();
     unique as f64 / table.num_rows() as f64
 }
@@ -80,13 +78,9 @@ fn main() {
     // Criterion 3: keep Gender intact, then minimize height — the
     // user-defined minimality the paper says binary search cannot serve.
     let gender_pos = result.qi().iter().position(|&a| a == 1).expect("gender in QI");
-    let keep_gender = result
-        .min_by_cost(|g| (g.levels[gender_pos], g.height()))
-        .expect("nonempty result");
-    println!(
-        "Best with Gender released intact: {}",
-        keep_gender.describe(schema, result.qi())
-    );
+    let keep_gender =
+        result.min_by_cost(|g| (g.levels[gender_pos], g.height())).expect("nonempty result");
+    println!("Best with Gender released intact: {}", keep_gender.describe(schema, result.qi()));
 
     // Materialize the discernibility-optimal release and verify it.
     let (view, suppressed) = result.materialize(&table, best_dm.1).expect("valid gen");

@@ -14,12 +14,12 @@ use incognito::models::koptimize::koptimize_anonymize;
 use incognito::models::local::{cell_generalization_anonymize, cell_suppression_anonymize};
 use incognito::models::mondrian::mondrian_anonymize;
 use incognito::models::partition1d::ordered_partition_anonymize;
-use incognito::models::tds::tds_anonymize;
 use incognito::models::release::{
     attribute_suppression_release, full_domain_release, AnonymizedRelease,
 };
 use incognito::models::subgraph::full_subgraph_anonymize;
 use incognito::models::subtree::{full_subtree_anonymize, SubtreeMode};
+use incognito::models::tds::tds_anonymize;
 use incognito::models::{taxonomy, Metrics};
 
 fn main() {
@@ -72,8 +72,7 @@ fn main() {
         ),
         (
             "Single-dim full-subtree via GA [11]",
-            genetic_anonymize(&table, &qi, k, &GeneticConfig::default())
-                .expect("valid workload"),
+            genetic_anonymize(&table, &qi, k, &GeneticConfig::default()).expect("valid workload"),
         ),
         (
             "Single-dim ordered partitioning",

@@ -14,7 +14,7 @@ use std::time::Instant;
 use incognito::algo::cube::{anonymize_with_cube, Cube};
 use incognito::algo::{incognito::incognito, Config, SearchStats};
 use incognito::data::{adults, AdultsConfig};
-use incognito::obs::{self, MetricsSnapshot, MetricValue};
+use incognito::obs::{self, MetricValue, MetricsSnapshot};
 
 fn main() {
     // Everything the engine records is gated on this flag; when it is off
@@ -48,10 +48,7 @@ fn main() {
     let cube_metrics = obs::snapshot().diff(&before);
 
     assert_eq!(basic.generalizations(), cubed.generalizations(), "variants agree");
-    println!(
-        "Both variants found the same {} k-anonymous generalizations.",
-        basic.len()
-    );
+    println!("Both variants found the same {} k-anonymous generalizations.", basic.len());
     println!(
         "Wall-clock: Basic {:.3}s, Cube {:.3}s (incl. {:.3}s cube build)\n",
         basic_wall.as_secs_f64(),

@@ -92,7 +92,10 @@ fn main() {
 
     let (view, suppressed) =
         result.materialize(&patients, minimal[0]).expect("reported gens are valid");
-    println!("\nReleased view under {} ({suppressed} tuples suppressed):", minimal[0].describe(schema, result.qi()));
+    println!(
+        "\nReleased view under {} ({suppressed} tuples suppressed):",
+        minimal[0].describe(schema, result.qi())
+    );
     for row in 0..view.num_rows() {
         println!(
             "  {:8} {:6} {:5}  {}",

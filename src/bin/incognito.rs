@@ -45,11 +45,7 @@ struct Args(Vec<String>);
 impl Args {
     fn get(&self, name: &str) -> Option<&str> {
         let flag = format!("--{name}");
-        self.0
-            .iter()
-            .position(|a| *a == flag)
-            .and_then(|i| self.0.get(i + 1))
-            .map(String::as_str)
+        self.0.iter().position(|a| *a == flag).and_then(|i| self.0.get(i + 1)).map(String::as_str)
     }
 
     fn has(&self, name: &str) -> bool {
@@ -189,10 +185,9 @@ fn anonymize(args: &Args) -> Result<(), String> {
 
     let select = args.get("select").unwrap_or("height");
     let chosen = match select {
-        "height" => *result
-            .minimal_by_height()
-            .first()
-            .expect("nonempty result has a minimal element"),
+        "height" => {
+            *result.minimal_by_height().first().expect("nonempty result has a minimal element")
+        }
         "discernibility" => result
             .minimal_frontier()
             .into_iter()

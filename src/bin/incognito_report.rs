@@ -67,8 +67,7 @@ fn run(args: &[String]) -> Result<bool, String> {
     };
     match args.first().map(String::as_str) {
         Some("diff") => {
-            let paths: Vec<&String> =
-                args[1..].iter().filter(|a| !a.starts_with("--")).collect();
+            let paths: Vec<&String> = args[1..].iter().filter(|a| !a.starts_with("--")).collect();
             let [old_path, new_path] = paths.as_slice() else {
                 return Err(format!("diff needs exactly two report paths\n{USAGE}"));
             };
@@ -88,10 +87,12 @@ fn run(args: &[String]) -> Result<bool, String> {
         }
         Some("gate") => {
             let baseline = PathBuf::from(
-                flag_value(args, "--baseline").ok_or(format!("gate needs --baseline <dir>\n{USAGE}"))?,
+                flag_value(args, "--baseline")
+                    .ok_or(format!("gate needs --baseline <dir>\n{USAGE}"))?,
             );
-            let candidate =
-                PathBuf::from(flag_value(args, "--candidate").unwrap_or_else(|| "results".to_owned()));
+            let candidate = PathBuf::from(
+                flag_value(args, "--candidate").unwrap_or_else(|| "results".to_owned()),
+            );
             let cfg = GateConfig {
                 threshold_pct: threshold,
                 gate_timings: has_flag(args, "--gate-timings"),

@@ -94,8 +94,8 @@ pub struct BenchDoc {
 impl BenchDoc {
     /// Read and parse a report file.
     pub fn load(path: &Path) -> Result<BenchDoc, String> {
-        let text = fs::read_to_string(path)
-            .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+        let text =
+            fs::read_to_string(path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
         let doc = Json::parse(&text).map_err(|e| format!("{}: {e}", path.display()))?;
         BenchDoc::from_json(&doc).map_err(|e| format!("{}: {e}", path.display()))
     }
@@ -106,11 +106,8 @@ impl BenchDoc {
             Json::Obj(fields) => fields,
             _ => return Err("report is not a JSON object".to_owned()),
         };
-        let name = doc
-            .get("name")
-            .and_then(Json::as_str)
-            .ok_or("report has no name field")?
-            .to_owned();
+        let name =
+            doc.get("name").and_then(Json::as_str).ok_or("report has no name field")?.to_owned();
         let workload = fields
             .iter()
             .filter(|(k, _)| !VOLATILE_FIELDS.contains(&k.as_str()))
@@ -134,11 +131,7 @@ fn as_f64(v: &Json) -> Option<f64> {
 
 fn run_from_json(run: &Json) -> Result<Run, String> {
     let key = RunKey {
-        label: run
-            .get("label")
-            .and_then(Json::as_str)
-            .ok_or("run has no label field")?
-            .to_owned(),
+        label: run.get("label").and_then(Json::as_str).ok_or("run has no label field")?.to_owned(),
         dataset: run.get("dataset").and_then(Json::as_str).unwrap_or("").to_owned(),
         k: run.get("k").and_then(Json::as_int).unwrap_or(0),
         qi_arity: run.get("qi_arity").and_then(Json::as_int).unwrap_or(0),
@@ -298,7 +291,11 @@ pub fn render_diff(
             continue;
         }
         let fmt_v = |v: f64| {
-            if d.is_timing { format!("{v:.6}") } else { format!("{}", v as i64) }
+            if d.is_timing {
+                format!("{v:.6}")
+            } else {
+                format!("{}", v as i64)
+            }
         };
         let pct = match d.pct {
             Some(p) => format!("{p:+.1}%"),
@@ -408,7 +405,11 @@ impl Default for GateConfig {
 impl GateConfig {
     /// The threshold that applies to `d`.
     pub fn threshold_for(&self, d: &Delta) -> f64 {
-        if d.is_memory { self.memory_threshold_pct } else { self.threshold_pct }
+        if d.is_memory {
+            self.memory_threshold_pct
+        } else {
+            self.threshold_pct
+        }
     }
 
     fn gated(&self, d: &Delta) -> bool {
@@ -431,7 +432,10 @@ impl GateConfig {
 /// [`GateConfig::memory_threshold_pct`]).
 pub fn gate(old: &BenchDoc, new: &BenchDoc, cfg: &GateConfig) -> Result<GateReport, String> {
     if old.name != new.name {
-        return Err(format!("report name mismatch: baseline {:?} vs candidate {:?}", old.name, new.name));
+        return Err(format!(
+            "report name mismatch: baseline {:?} vs candidate {:?}",
+            old.name, new.name
+        ));
     }
     for (param, old_v) in &old.workload {
         match new.workload.iter().find(|(p, _)| p == param) {
@@ -522,9 +526,8 @@ impl PlanRow {
             let c = &records[n.index];
             if c.name == "check" || c.name == "sql.check" {
                 let via = arg_str(c, "via");
-                if let Some(i) = ["scan", "rollup", "superroot", "cube"]
-                    .iter()
-                    .position(|&s| via == Some(s))
+                if let Some(i) =
+                    ["scan", "rollup", "superroot", "cube"].iter().position(|&s| via == Some(s))
                 {
                     row.checks[i] += 1;
                 }
@@ -638,13 +641,7 @@ pub fn explain_trace(records: &[TraceRecord]) -> String {
 mod tests {
     use super::*;
 
-    fn doc_with_peak(
-        name: &str,
-        rows: i64,
-        nodes_checked: i64,
-        wall: f64,
-        peak: i64,
-    ) -> BenchDoc {
+    fn doc_with_peak(name: &str, rows: i64, nodes_checked: i64, wall: f64, peak: i64) -> BenchDoc {
         let mut run = Json::obj();
         run.set("label", "Basic Incognito");
         run.set("dataset", "adults");

@@ -92,10 +92,8 @@ fn eight_workers_attribute_allocations_without_loss_or_crosstalk() {
 
     // No cross-thread misattribution: the guard that crossed threads
     // recorded, but without memory args.
-    let crossing = records
-        .iter()
-        .find(|r| r.name == "stress.cross_thread")
-        .expect("crossing span recorded");
+    let crossing =
+        records.iter().find(|r| r.name == "stress.cross_thread").expect("crossing span recorded");
     assert!(
         !crossing.args.iter().any(|(k, _)| k == "alloc_bytes" || k == "allocs"),
         "cross-thread drop must not claim a delta: {:?}",

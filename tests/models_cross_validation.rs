@@ -60,7 +60,11 @@ fn every_model_produces_a_k_anonymous_release() {
                 "{name} must account for every source row"
             );
             let m = release.metrics(k);
-            assert!(m.precision >= -1e-9 && m.precision <= 1.0 + 1e-9, "{name} Prec {}", m.precision);
+            assert!(
+                m.precision >= -1e-9 && m.precision <= 1.0 + 1e-9,
+                "{name} Prec {}",
+                m.precision
+            );
             assert!(m.loss >= -1e-9 && m.loss <= 1.0 + 1e-9, "{name} LM {}", m.loss);
             // Discernibility is bounded below by the k-anonymous ideal
             // (all classes exactly k) and above by a single class.
@@ -98,10 +102,7 @@ fn flexible_models_never_lose_to_best_full_domain_on_discernibility() {
             .generalizations()
             .iter()
             .map(|g| {
-                full_domain_release(&table, &qi, &g.levels, None)
-                    .unwrap()
-                    .metrics(k)
-                    .discernibility
+                full_domain_release(&table, &qi, &g.levels, None).unwrap().metrics(k).discernibility
             })
             .min()
             .unwrap();

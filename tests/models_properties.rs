@@ -54,8 +54,13 @@ fn all_models_produce_valid_releases() {
         let k = 1 + rng.below(7);
         let qi = [0usize, 1];
         let n = table.num_rows() as u64;
-        type Anonymizer = fn(&Table, &[usize], u64)
-            -> Result<incognito::models::AnonymizedRelease, incognito::table::TableError>;
+        type Anonymizer =
+            fn(
+                &Table,
+                &[usize],
+                u64,
+            )
+                -> Result<incognito::models::AnonymizedRelease, incognito::table::TableError>;
         let subtree: Anonymizer =
             |t, q, k| full_subtree_anonymize(t, q, k, SubtreeMode::FullSubtree);
         let unrestricted: Anonymizer =
@@ -86,11 +91,7 @@ fn all_models_produce_valid_releases() {
                 );
             }
             let m = r.metrics(k);
-            assert!(
-                m.loss >= -1e-9 && m.loss <= 1.0 + 1e-9,
-                "case {case}: {name} LM {}",
-                m.loss
-            );
+            assert!(m.loss >= -1e-9 && m.loss <= 1.0 + 1e-9, "case {case}: {name} LM {}", m.loss);
             assert!(
                 m.precision >= -1e-9 && m.precision <= 1.0 + 1e-9,
                 "case {case}: {name} Prec {}",

@@ -155,10 +155,7 @@ fn memory_gate_catches_injected_peak_regressions() {
     // ...caught with it (default 25% memory band), exit 1.
     let (code, stdout, stderr) = run_gate_with(&baseline, &candidate, "10", &["--memory"]);
     assert_eq!(code, Some(1), "peak regression must fail\n{stdout}{stderr}");
-    assert!(
-        stderr.contains("REGRESSION") && stderr.contains("memory.peak_live_bytes"),
-        "{stderr}"
-    );
+    assert!(stderr.contains("REGRESSION") && stderr.contains("memory.peak_live_bytes"), "{stderr}");
 
     // A widened band tolerates it.
     let (code, _, _) =

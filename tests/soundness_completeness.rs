@@ -113,13 +113,11 @@ fn incognito_sound_and_complete() {
             Config::new(k).with_prune(PruneStrategy::HashSet),
         ] {
             let r = run_incognito(&table, &qi, &cfg).expect("valid workload");
-            let got: Vec<Vec<u8>> =
-                r.generalizations().iter().map(|g| g.levels.clone()).collect();
+            let got: Vec<Vec<u8>> = r.generalizations().iter().map(|g| g.levels.clone()).collect();
             assert_eq!(&got, &truth, "case {case}: cfg {cfg:?}");
         }
         let cube = cube_incognito(&table, &qi, &Config::new(k)).expect("valid workload");
-        let got: Vec<Vec<u8>> =
-            cube.generalizations().iter().map(|g| g.levels.clone()).collect();
+        let got: Vec<Vec<u8>> = cube.generalizations().iter().map(|g| g.levels.clone()).collect();
         assert_eq!(&got, &truth, "case {case}: cube variant");
         let bu = bottom_up_search(&table, &qi, &Config::new(k)).expect("valid workload");
         let got: Vec<Vec<u8>> = bu.generalizations().iter().map(|g| g.levels.clone()).collect();
@@ -188,14 +186,11 @@ fn rollup_property() {
         let table = random_table(&mut rng);
         let lift: Vec<u8> = (0..3).map(|_| rng.below(3) as u8).collect();
         let schema = table.schema().clone();
-        let ground = table
-            .frequency_set(&GroupSpec::ground(&[0, 1, 2]).expect("valid"))
-            .expect("valid");
-        let target: Vec<u8> =
-            (0..3).map(|i| lift[i].min(schema.hierarchy(i).height())).collect();
+        let ground =
+            table.frequency_set(&GroupSpec::ground(&[0, 1, 2]).expect("valid")).expect("valid");
+        let target: Vec<u8> = (0..3).map(|i| lift[i].min(schema.hierarchy(i).height())).collect();
         let rolled = ground.rollup(&schema, &target).expect("upward");
-        let spec =
-            GroupSpec::new((0..3).map(|i| (i, target[i])).collect()).expect("valid");
+        let spec = GroupSpec::new((0..3).map(|i| (i, target[i])).collect()).expect("valid");
         let scanned = table.frequency_set(&spec).expect("valid");
         assert_eq!(
             rolled.to_labeled_rows(&schema),
@@ -214,20 +209,14 @@ fn subset_property() {
         let table = random_table(&mut rng);
         let k = random_k(&mut rng);
         let schema = table.schema().clone();
-        let wide = table
-            .frequency_set(&GroupSpec::ground(&[0, 1, 2]).expect("valid"))
-            .expect("valid");
+        let wide =
+            table.frequency_set(&GroupSpec::ground(&[0, 1, 2]).expect("valid")).expect("valid");
         for keep in [vec![0usize], vec![1], vec![2], vec![0, 1], vec![0, 2], vec![1, 2]] {
             let proj = wide.project(&keep).expect("valid positions");
             let attrs: Vec<usize> = keep.clone();
-            let scan = table
-                .frequency_set(&GroupSpec::ground(&attrs).expect("valid"))
-                .expect("valid");
-            assert_eq!(
-                proj.to_labeled_rows(&schema),
-                scan.to_labeled_rows(&schema),
-                "case {case}"
-            );
+            let scan =
+                table.frequency_set(&GroupSpec::ground(&attrs).expect("valid")).expect("valid");
+            assert_eq!(proj.to_labeled_rows(&schema), scan.to_labeled_rows(&schema), "case {case}");
             if wide.is_k_anonymous(k) {
                 assert!(proj.is_k_anonymous(k), "case {case}");
             }
@@ -273,9 +262,7 @@ fn suppression_matches_brute_force_on_fixed_tables() {
                 .nodes()
                 .iter()
                 .filter(|n| {
-                    let f = t
-                        .frequency_set(&n.to_group_spec().expect("valid"))
-                        .expect("valid");
+                    let f = t.frequency_set(&n.to_group_spec().expect("valid")).expect("valid");
                     if max_sup == 0 {
                         f.is_k_anonymous(k)
                     } else {
@@ -285,8 +272,7 @@ fn suppression_matches_brute_force_on_fixed_tables() {
                 .map(|n| n.levels())
                 .collect();
             truth.sort();
-            let got: Vec<Vec<u8>> =
-                r.generalizations().iter().map(|g| g.levels.clone()).collect();
+            let got: Vec<Vec<u8>> = r.generalizations().iter().map(|g| g.levels.clone()).collect();
             assert_eq!(got, truth, "k={k} max_sup={max_sup}");
         }
     }

@@ -10,11 +10,7 @@ use incognito::star::incognito_sql;
 #[test]
 fn sql_and_native_agree_on_synthetic_adults() {
     let table = adults(&AdultsConfig { rows: 3_000, seed: 77 });
-    for (qi, k) in [
-        (vec![0usize, 1], 5u64),
-        (vec![1, 2, 3], 10),
-        (vec![0, 3, 4], 25),
-    ] {
+    for (qi, k) in [(vec![0usize, 1], 5u64), (vec![1, 2, 3], 10), (vec![0, 3, 4], 25)] {
         let sql = incognito_sql(&table, &qi, &Config::new(k)).unwrap();
         let native = run_incognito(&table, &qi, &Config::new(k)).unwrap();
         let native_levels: Vec<Vec<LevelNo>> =

@@ -86,7 +86,8 @@ fn superroots_incognito_trace_matches_stats() {
 fn cube_incognito_trace_matches_stats() {
     let t = patients();
     let mut trace = Vec::new();
-    let result = cube_incognito_traced(&t, &[0, 1, 2], &Config::new(2), &mut |e| trace.push(e)).unwrap();
+    let result =
+        cube_incognito_traced(&t, &[0, 1, 2], &Config::new(2), &mut |e| trace.push(e)).unwrap();
     assert_consistent("cube", &result, &trace);
 }
 
