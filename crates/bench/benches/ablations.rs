@@ -76,7 +76,9 @@ fn bench_materialization_ablation() {
         }
     });
     group.case("zero_cube_store", || {
-        let mut store = FreqStore::build(&table, &qi, MaterializationPolicy::ZeroCube).unwrap();
+        let mut store =
+            FreqStore::build(&table, &qi, MaterializationPolicy::ZeroCube, &Config::new(2))
+                .unwrap();
         for &k in &ks {
             std::hint::black_box(
                 incognito_with_store(&table, &qi, &Config::new(k), &mut store).unwrap(),

@@ -1,5 +1,8 @@
 use std::time::Duration;
 
+use crate::incognito::Checked;
+use crate::trace::CheckSource;
+
 /// Counters describing one subset-size iteration of a search.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct IterationStats {
@@ -79,6 +82,20 @@ impl SearchStats {
     /// Total candidate nodes generated across iterations.
     pub fn candidates(&self) -> usize {
         self.iterations.iter().map(|i| i.candidates).sum()
+    }
+
+    /// Tally one checked node: its frequency set came from a table scan
+    /// or was derived, as `checked.via` says.
+    pub(crate) fn tally(&mut self, it: &mut IterationStats, checked: &Checked) {
+        if checked.via == CheckSource::TableScan {
+            self.freq_from_scan += 1;
+            self.table_scans += 1;
+            self.timings.scan += checked.time;
+        } else {
+            self.freq_from_rollup += 1;
+            self.timings.rollup += checked.time;
+        }
+        it.nodes_checked += 1;
     }
 
     /// Record an iteration.
